@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	serve -addr :8080 -checkpoints ./ckpt
+//	serve -addr :8080 -wal-dir ./wal
 //
 // Ingest and query:
 //
@@ -21,17 +21,19 @@
 // turn), so tenants-per-process scales past the goroutine-per-tenant
 // limit and a hot tenant cannot starve the rest.
 //
-// On SIGINT/SIGTERM the server drains in-flight requests and ingest
-// queues and checkpoints every tenant; a restart with the same
-// -checkpoints directory resumes each stream bit-identically.
+// With -wal-dir set, every accepted batch is write-ahead logged and
+// fsynced before it is acknowledged, and the detector is snapshotted
+// every -snapshot-every quanta. -wal-group-commit-interval 0 (the
+// default) fsyncs each batch as it is appended; a positive interval
+// shares one fsync per tenant per interval across every batch that
+// arrived within it. On SIGINT/SIGTERM the server drains in-flight
+// requests and ingest queues and takes a final WAL snapshot of every
+// tenant. After a graceful stop or a kill -9 alike, a restart with the
+// same -wal-dir recovers (snapshot + tail replay) bit-identically.
 //
-// With -wal-dir set, every accepted batch is write-ahead logged before
-// it is acknowledged and the detector is snapshotted every
-// -snapshot-every quanta, so even a kill -9 loses nothing: restart with
-// the same -wal-dir and recovery (snapshot + tail replay) resumes
-// bit-identically. With -archive-dir set, events evicted by -retain are
-// persisted to a queryable on-disk archive (GET /v1/{tenant}/archive)
-// instead of discarded. With -archive-compact-interval set, a background
+// With -archive-dir set, events evicted by -retain are persisted to a
+// queryable on-disk archive (GET /v1/{tenant}/archive) instead of
+// discarded. With -archive-compact-interval set, a background
 // compactor incrementally merges small archive segments and rewrites
 // cold v1 JSONL segments into the v2 columnar format (zone-map
 // predicate skipping, several-fold smaller on disk); -archive-migrate
@@ -49,8 +51,8 @@
 // these limits under adversarial skew.
 //
 // Flag values are validated at startup; nonsensical settings (zero
-// quantum size, negative fsync cadence, ...) exit with a message
-// naming every offending flag.
+// quantum size, negative group-commit interval, ...) exit with a
+// message naming every offending flag.
 //
 // Tunables mirror Table 2: -delta (quantum size), -tau (high state
 // threshold), -beta (EC threshold), -w (window quanta).
@@ -142,7 +144,6 @@ func buildInfo() (path, goVersion, revision string) {
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
-		ckpt    = flag.String("checkpoints", "", "checkpoint directory (empty disables persistence)")
 		queue   = flag.Int("queue", 64, "per-tenant ingest queue depth in batches")
 		queueM  = flag.Int("queue-msgs", 100000, "per-tenant ingest queue bound in messages")
 		maxT    = flag.Int("max-tenants", 1024, "tenant limit")
@@ -160,13 +161,12 @@ func main() {
 		snapRH = flag.Int("snapshot-rank-history", 0, "rank-history entries kept in published epoch snapshots (0 = full history)")
 		grace  = flag.Duration("grace", 30*time.Second, "graceful shutdown budget")
 
-		walDir  = flag.String("wal-dir", "", "write-ahead log directory (empty disables crash durability)")
-		walSeg  = flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation size")
-		walSync = flag.Int("wal-sync", 0, "fsync the WAL every N appends (0 = rely on the page cache)")
-		walGC   = flag.Duration("wal-group-commit-interval", 0,
-			"cross-tenant WAL group commit flush interval (0 disables; e.g. 2ms). "+
-				"Acks wait for the shared flush+fsync: power-safe durability at a "+
-				"fraction of the per-append fsync cost; overrides -wal-sync")
+		walDir = flag.String("wal-dir", "", "write-ahead log directory (empty disables persistence)")
+		walSeg = flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation size")
+		walGC  = flag.Duration("wal-group-commit-interval", 0,
+			"cross-tenant WAL group commit flush interval (0 = fsync each batch "+
+				"as it is appended; e.g. 2ms). Every ack waits for the fsync "+
+				"covering its batch; an interval shares that fsync across tenants")
 		snapEvr = flag.Int("snapshot-every", 256, "WAL snapshot cadence in quanta")
 		stRetry = flag.Int("storage-retries", 3,
 			"inline retry turns on a transient storage IO error before the "+
@@ -217,9 +217,9 @@ func main() {
 	flag.Parse()
 
 	// Fail fast on nonsensical tunables: a zero quantum size or a
-	// negative fsync cadence would otherwise be silently "corrected" (or
-	// worse, obeyed) deep inside the pool. Every violation is reported,
-	// not just the first.
+	// negative group-commit interval would otherwise be silently
+	// "corrected" (or worse, obeyed) deep inside the pool. Every
+	// violation is reported, not just the first.
 	var bad []string
 	req := func(ok bool, msg string) {
 		if !ok {
@@ -242,8 +242,7 @@ func main() {
 	req(*snapRH >= 0, "-snapshot-rank-history must be non-negative (0 = full history)")
 	req(*grace >= 0, "-grace must be non-negative")
 	req(*walSeg > 0, "-wal-segment-bytes must be positive")
-	req(*walSync >= 0, "-wal-sync must be non-negative (0 = page cache)")
-	req(*walGC >= 0, "-wal-group-commit-interval must be non-negative (0 = disabled)")
+	req(*walGC >= 0, "-wal-group-commit-interval must be non-negative (0 = fsync per append)")
 	req(*snapEvr > 0, "-snapshot-every must be a positive quantum count")
 	req(*stRetry >= -1, "-storage-retries must be -1 (disabled) or a turn count")
 	req(*stBack > 0, "-storage-retry-backoff must be positive")
@@ -298,7 +297,6 @@ func main() {
 			QueueDepth:          *queue,
 			QueueMessages:       *queueM,
 			RetainEvents:        *retain,
-			CheckpointDir:       *ckpt,
 			MaxTenants:          *maxT,
 			Workers:             *workers,
 			SnapshotRankHistory: *snapRH,
@@ -308,7 +306,6 @@ func main() {
 
 			WALDir:                 *walDir,
 			WALSegmentBytes:        *walSeg,
-			WALSyncEvery:           *walSync,
 			WALGroupCommitInterval: *walGC,
 			SnapshotEvery:          *snapEvr,
 			StorageRetries:         retries,
@@ -348,7 +345,6 @@ func main() {
 		"group_commit", walGC.String(),
 		"archive", *archDir != "",
 		"archive_compact_interval", archComp.String(),
-		"checkpoints", *ckpt != "",
 		"rate_limit", *rateLim,
 		"admission_frac", *admFrac,
 		"telemetry", *telemetry,
@@ -385,7 +381,7 @@ func main() {
 		}
 	case <-ctx.Done():
 		stop() // restore default signal handling: a second signal kills
-		logger.Info("shutting down", "phase", "draining queues and checkpointing")
+		logger.Info("shutting down", "phase", "draining queues and snapshotting")
 		if err := srv.Shutdown(context.Background()); err != nil {
 			fmt.Fprintln(os.Stderr, "serve: shutdown:", err)
 			os.Exit(1)

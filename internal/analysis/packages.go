@@ -25,7 +25,7 @@ var deterministicPackages = map[string]bool{
 }
 
 // mapOrderExtraPackages extends maporder (but not walltime) beyond the
-// replay core: the server's apply/checkpoint/metrics paths feed
+// replay core: the server's apply/snapshot/metrics paths feed
 // replayed state and client-visible responses, so its map iterations
 // must also be sorted or proven order-insensitive — but it may read
 // clocks freely.

@@ -34,13 +34,14 @@ const (
 	// token bucket, including the ingest-queue lock acquisition.
 	StageAdmission
 	// StageWALAppend is the WAL append under the queue lock (a memory
-	// copy under group commit, a write+fsync in synchronous mode).
+	// copy under group commit, a write+fsync at group-commit interval 0).
 	StageWALAppend
 	// StageWALCommit is the durability wait after the queue lock is
 	// released — under group commit, the shared flush the ack waits on.
 	StageWALCommit
-	// StageWALFsync is one group-commit flush pass (write + fsync of a
-	// log's pending records), observed from inside the WAL.
+	// StageWALFsync is one flush of a log's pending records (write +
+	// fsync), observed from inside the WAL: once per group-commit pass,
+	// or once per append at interval 0.
 	StageWALFsync
 	// StageQueueWait is a batch's time in the ingest queue: accepted
 	// (pushed) to picked up by the apply step.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -12,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/detect"
 	"repro/internal/vfs"
 )
 
@@ -147,10 +147,10 @@ func TestTornWriteRetriesInline(t *testing.T) {
 }
 
 // TestTornFsyncRetriesInline: a failed fsync whose write already landed
-// (WALSyncEvery 1) — the power-cut-mid-fsync shape — must roll the
-// unacked frame back and recover on the inline retry.
+// (commit on append, the default) — the power-cut-mid-fsync shape — must
+// roll the unacked frame back and recover on the inline retry.
 func TestTornFsyncRetriesInline(t *testing.T) {
-	pool, ffs, dir := faultPool(t, func(c *PoolConfig) { c.WALSyncEvery = 1 })
+	pool, ffs, dir := faultPool(t, nil)
 	tn, err := pool.GetOrCreate("acme")
 	if err != nil {
 		t.Fatal(err)
@@ -304,6 +304,49 @@ func TestGroupCommitFailStopReopens(t *testing.T) {
 	}
 }
 
+// TestFaultFsyncNeverAcks: acked means fsynced, at every group-commit
+// interval. With every fsync of the WAL segments failing, no Enqueue may
+// return success — not through the inline retries, not after the
+// supervisor reopens the log — and a pool recovered from the directory
+// must replay zero batches.
+func TestFaultFsyncNeverAcks(t *testing.T) {
+	for _, interval := range []time.Duration{0, 500 * time.Microsecond} {
+		t.Run(fmt.Sprintf("interval=%s", interval), func(t *testing.T) {
+			pool, ffs, dir := faultPool(t, func(c *PoolConfig) {
+				c.WALGroupCommitInterval = interval
+			})
+			tn, err := pool.GetOrCreate("acme")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ffs.Inject(vfs.Rule{Op: vfs.OpSync, Path: ".wal"})
+			for i := 0; i < 4; i++ {
+				if err := tn.Enqueue(quantumOf(8*i, "earthquake struck city center")); err == nil {
+					t.Fatalf("Enqueue %d acked while every WAL fsync fails", i)
+				}
+				// Let the supervisor reopen the log and clear degraded
+				// mode (its write probe does not touch a segment), so the
+				// next Enqueue reaches the WAL again instead of only
+				// meeting the degraded shed.
+				waitFor(t, 5*time.Second, func() bool {
+					down, _ := tn.Degraded()
+					return !down
+				}, "supervisor to reopen the WAL")
+			}
+			if ffs.Injected() == 0 {
+				t.Fatal("fault was never injected; the test exercised nothing")
+			}
+			waitApplied(t, tn)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			pool.Shutdown(ctx) //nolint:errcheck // the segment cannot be fsynced on close either
+			if got := replayCount(t, dir, "acme"); got != 0 {
+				t.Fatalf("recovered %d messages, want 0: an unacked batch was replayed", got)
+			}
+		})
+	}
+}
+
 // TestSnapshotENOSPCKeepsPrevious: a WAL snapshot write hitting ENOSPC
 // must leave the previous snapshot intact and replayable, leave no temp
 // debris, and degrade the tenant proactively.
@@ -360,50 +403,6 @@ func TestSnapshotENOSPCKeepsPrevious(t *testing.T) {
 	// Both acked batches replay from the previous snapshot + tail.
 	if got := replayCount(t, dir, "acme"); got != 16 {
 		t.Fatalf("recovered %d messages, want 16", got)
-	}
-}
-
-// TestCheckpointENOSPCLeavesPreviousIntact: a failed checkpoint write
-// (ENOSPC mid-gob) must leave the previous checkpoint loadable and no
-// temp files behind — the atomic tmp+rename contract under injection.
-func TestCheckpointENOSPCLeavesPreviousIntact(t *testing.T) {
-	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(nil)
-	store, err := newCheckpointStore(dir, ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det := detect.New(testDetectConfig())
-	for _, m := range quantumOf(0, "earthquake struck city center") {
-		det.IngestAll(m)
-	}
-	if err := store.Save("acme", det); err != nil {
-		t.Fatal(err)
-	}
-	want := det.Processed()
-	// Mutate the detector, then fail the second save mid-write.
-	for _, m := range quantumOf(8, "flood river rising fast") {
-		det.IngestAll(m)
-	}
-	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".tmp-", Err: syscall.ENOSPC})
-	if err := store.Save("acme", det); !vfs.IsNoSpace(err) {
-		t.Fatalf("Save under ENOSPC = %v, want ENOSPC", err)
-	}
-	// Previous checkpoint intact and loadable.
-	got, err := store.Load("acme")
-	if err != nil {
-		t.Fatalf("previous checkpoint unreadable after failed save: %v", err)
-	}
-	if got == nil || got.Processed() != want {
-		t.Fatalf("previous checkpoint corrupted: processed %v, want %d", got, want)
-	}
-	// No temp debris.
-	debris, err := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(debris) != 0 {
-		t.Fatalf("temp debris left behind: %v", debris)
 	}
 }
 

@@ -106,7 +106,7 @@ func (t *Tenant) Metrics() TenantMetrics {
 		m.WALSnapshotSeq = wl.SnapshotSeq()
 		m.WALErrors = t.storage.walErrs.Load()
 		// Clamp at zero: after recovery the snapshot can be ahead of the
-		// published epoch (lastSnapQuantum seeds from the checkpointed
+		// published epoch (lastSnapQuantum seeds from the snapshotted
 		// quantum while Quanta starts from the replayed snapshot), and a
 		// negative age would read as a uint underflow on dashboards.
 		if age := m.Quanta - int(t.lastSnapQuantum.Load()); age > 0 {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -239,20 +240,27 @@ func testCrashRecoveryBitIdentical(t *testing.T, groupCommit time.Duration) {
 	}
 
 	// The archive holds every eviction — the ones from before the crash
-	// included — without duplicates or ordinal holes (the programmatic
-	// API keeps eviction ordinals and eviction order).
-	recs, _, err := tn2.ArchiveQuery(0, -1, "", 0)
+	// included — exactly once, with no ordinal holes.
+	if m := tn2.Metrics(); m.ArchiveEvents != len(ref.evicted) || m.ArchiveGaps != 0 {
+		t.Fatalf("archive metrics: %d events, %d gaps; want %d events, 0 gaps",
+			m.ArchiveEvents, m.ArchiveGaps, len(ref.evicted))
+	}
+	res, err := tn2.Query(query.Request{To: -1, ArchiveOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(ref.evicted) {
-		t.Fatalf("archived = %d events, want %d", len(recs), len(ref.evicted))
+	if len(res.Events) != len(ref.evicted) {
+		t.Fatalf("archived = %d events, want %d", len(res.Events), len(ref.evicted))
 	}
-	for i, rec := range recs {
-		if rec.Seq != uint64(i+1) || rec.ID != ref.evicted[i] {
-			t.Fatalf("archive record %d = seq %d id %d, want seq %d id %d",
-				i, rec.Seq, rec.ID, i+1, ref.evicted[i])
-		}
+	gotIDs := make([]uint64, len(res.Events))
+	for i, ev := range res.Events {
+		gotIDs[i] = ev.ID
+	}
+	wantIDs := append([]uint64(nil), ref.evicted...)
+	slices.Sort(gotIDs)
+	slices.Sort(wantIDs)
+	if !slices.Equal(gotIDs, wantIDs) {
+		t.Fatalf("archived ids = %v, want %v", gotIDs, wantIDs)
 	}
 
 	// The HTTP surface routes through the unified query engine: same
@@ -452,157 +460,6 @@ func testFlushSurvivesCrash(t *testing.T, groupCommit time.Duration) {
 	}
 	if got := asJSON(t, tn2.Events(0, true)); got != want {
 		t.Fatalf("flush lost across crash:\ngot  %s\nwant %s", got, want)
-	}
-}
-
-// TestCheckpointToWALMigration enables the WAL on a deployment that so
-// far only had shutdown checkpoints: the restored state must be seeded
-// into the fresh WAL (a snapshot at position 0), so that a subsequent
-// crash — before any cadence snapshot — still recovers the full
-// pre-migration history instead of replaying onto an empty detector.
-func TestCheckpointToWALMigration(t *testing.T) {
-	cfg := persistCfg()
-	dir := t.TempDir()
-	ckptDir := filepath.Join(dir, "ckpt")
-	batches := burstBatches()
-	ref := referenceRun(cfg, batches, 0)
-
-	// Era 1: checkpoint-only deployment, clean shutdown.
-	pool1, err := NewPool(PoolConfig{Detector: cfg, CheckpointDir: ckptDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, err := pool1.GetOrCreate("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cut = 5
-	for _, b := range batches[:cut] {
-		if err := tn.Enqueue(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pool1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Era 2: same checkpoints plus a fresh WAL dir; ingest one more
-	// batch, then crash (no shutdown, no cadence snapshot: cadence is
-	// left at the 256-quanta default).
-	pcfg2 := PoolConfig{Detector: cfg, CheckpointDir: ckptDir, WALDir: filepath.Join(dir, "wal")}
-	pool2, err := NewPool(pcfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn2, ok := pool2.Tenant("t")
-	if !ok {
-		t.Fatal("tenant not restored from checkpoint")
-	}
-	if err := tn2.Enqueue(batches[cut]); err != nil {
-		t.Fatal(err)
-	}
-	if err := tn2.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: abandon pool2 (workers drained; no snapshot, no Close).
-	tn2.shutdown(context.Background()) //nolint:errcheck // drained above
-
-	// Era 3: recovery must see checkpointed history + the WAL tail.
-	pool3, err := NewPool(pcfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool3.Shutdown(context.Background())
-	tn3, ok := pool3.Tenant("t")
-	if !ok {
-		t.Fatal("tenant not recovered")
-	}
-	if got := tn3.Stats().Messages; got != uint64((cut+1)*16) {
-		t.Fatalf("recovered messages = %d, want %d (checkpointed history lost?)", got, (cut+1)*16)
-	}
-	for _, b := range batches[cut+1:] {
-		if err := tn3.Enqueue(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tn3.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := asJSON(t, tn3.Events(0, true)), asJSON(t, ref.views); got != want {
-		t.Fatalf("post-migration history diverges:\ngot  %s\nwant %s", got, want)
-	}
-}
-
-// TestCheckpointNewerThanWAL covers the operator round-trip that leaves
-// the WAL stale: run with WAL, run without it (checkpoint advances),
-// re-enable the WAL. Recovery must keep the newer checkpoint state
-// instead of silently rewinding to the old WAL position.
-func TestCheckpointNewerThanWAL(t *testing.T) {
-	cfg := persistCfg()
-	dir := t.TempDir()
-	both := PoolConfig{Detector: cfg, CheckpointDir: filepath.Join(dir, "ckpt"), WALDir: filepath.Join(dir, "wal")}
-	ckptOnly := PoolConfig{Detector: cfg, CheckpointDir: filepath.Join(dir, "ckpt")}
-	batches := burstBatches()
-
-	// Run 1: WAL + checkpoints, clean shutdown after three batches.
-	pool1, err := NewPool(both)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, err := pool1.GetOrCreate("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches[:3] {
-		if err := tn.Enqueue(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pool1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Run 2: WAL disabled; the checkpoint moves ahead.
-	pool2, err := NewPool(ckptOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn2, ok := pool2.Tenant("t")
-	if !ok {
-		t.Fatal("tenant not restored in run 2")
-	}
-	for _, b := range batches[3:6] {
-		if err := tn2.Enqueue(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pool2.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Run 3: WAL re-enabled. The stale WAL (3 batches) must lose to the
-	// newer checkpoint (6 batches).
-	pool3, err := NewPool(both)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool3.Shutdown(context.Background())
-	tn3, ok := pool3.Tenant("t")
-	if !ok {
-		t.Fatal("tenant not restored in run 3")
-	}
-	if got := tn3.Stats().Messages; got != 6*16 {
-		t.Fatalf("recovered messages = %d, want %d (rewound to stale WAL?)", got, 6*16)
-	}
-	// And the tenant keeps working on the re-seeded WAL.
-	if err := tn3.Enqueue(batches[6]); err != nil {
-		t.Fatal(err)
-	}
-	if err := tn3.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := tn3.Stats().Messages; got != 7*16 {
-		t.Fatalf("messages after re-seed = %d, want %d", got, 7*16)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package server is the HTTP/JSON serving subsystem: a multi-tenant pool
 // of streaming detectors behind ingest, query, and SSE push endpoints,
-// with checkpoint-on-shutdown persistence so restarts resume the stream
+// with write-ahead-log persistence so restarts resume the stream
 // bit-identically. See docs/ARCHITECTURE.md for the design.
 package server
 
@@ -42,7 +42,8 @@ var tenantNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 // PoolConfig configures a detector pool.
 type PoolConfig struct {
 	// Detector is the configuration every new tenant's detector gets.
-	// Restored tenants keep the configuration frozen in their checkpoint.
+	// Recovered tenants keep the configuration frozen in their WAL
+	// snapshot.
 	Detector detect.Config
 	// QueueDepth bounds each tenant's ingest queue in batches (one POST
 	// body = one batch). Zero selects 64. A full queue rejects ingest
@@ -57,43 +58,36 @@ type PoolConfig struct {
 	// Zero keeps everything — fine for bounded experiments, not for a
 	// long-lived tenant, whose history otherwise grows forever.
 	RetainEvents int
-	// CheckpointDir, when non-empty, enables clean-shutdown persistence:
-	// tenants with a checkpoint are restored on pool start and every
-	// tenant is checkpointed on Shutdown. A crash between checkpoints
-	// loses everything since startup — use WALDir for crash durability.
-	CheckpointDir string
 	// MaxTenants bounds the number of tenants. Zero selects 1024.
 	MaxTenants int
 
-	// WALDir, when non-empty, enables crash durability: every accepted
-	// ingest batch is appended to a per-tenant write-ahead log before it
-	// is acknowledged, and the detector is snapshotted every
-	// SnapshotEvery quanta. On pool start each tenant found under WALDir
-	// is recovered as latest snapshot + replay of the segment tail —
-	// bit-identical to the pre-crash state, however the process died.
+	// WALDir, when non-empty, enables persistence: every accepted
+	// ingest batch is appended to a per-tenant write-ahead log and
+	// fsynced before it is acknowledged, the detector is snapshotted
+	// every SnapshotEvery quanta, and Shutdown takes a final snapshot.
+	// On pool start each tenant found under WALDir is recovered as
+	// latest snapshot + replay of the segment tail — bit-identical to
+	// the state before the process stopped, however it stopped. Empty
+	// keeps every tenant in memory only.
 	WALDir string
 	// WALSegmentBytes rotates WAL segments (default 4 MiB).
 	WALSegmentBytes int64
-	// WALSyncEvery fsyncs the WAL after every N appends; 0 never fsyncs
-	// explicitly (kill-safe via the page cache, not power-safe).
-	// Ignored when WALGroupCommitInterval is set.
-	WALSyncEvery int
-	// WALGroupCommitInterval, when positive, switches WAL durability to
-	// cross-tenant group commit: appends from every tenant buffer in
-	// memory and a single committer goroutine flushes + fsyncs each
-	// dirty log once per interval; Enqueue acknowledges only after the
-	// flush covering its batch. Acked batches are then power-safe (not
-	// just kill-safe), and the fsync cost is shared across all batches
-	// of an interval instead of paid per Enqueue.
+	// WALGroupCommitInterval chooses when the fsync behind an ack runs.
+	// Zero commits on append: Enqueue writes and fsyncs its batch before
+	// it returns. Positive switches to cross-tenant group commit: appends
+	// from every tenant buffer in memory and a single committer goroutine
+	// flushes + fsyncs each dirty log once per interval; Enqueue
+	// acknowledges only after the flush covering its batch, so the fsync
+	// cost is shared across all batches of an interval.
 	WALGroupCommitInterval time.Duration
 	// SnapshotEvery is the WAL snapshot cadence in quanta (default 256).
 	// Smaller = faster recovery, more snapshot IO.
 	SnapshotEvery int
 
-	// FS is the filesystem every storage layer (WAL, archive,
-	// checkpoints) goes through. Nil selects the real OS filesystem;
-	// tests inject a vfs.FaultFS here to exercise EIO/ENOSPC/torn-write
-	// paths without privileged mounts.
+	// FS is the filesystem every storage layer (WAL, archive) goes
+	// through. Nil selects the real OS filesystem; tests inject a
+	// vfs.FaultFS here to exercise EIO/ENOSPC/torn-write paths without
+	// privileged mounts.
 	FS vfs.FS
 	// StorageRetries bounds the inline retry turns Enqueue spends on a
 	// transient device IO error before degrading the tenant: each turn
@@ -110,9 +104,9 @@ type PoolConfig struct {
 	DegradedProbeInterval time.Duration
 
 	// ArchiveDir, when non-empty, routes events evicted by the
-	// RetainEvents policy into a per-tenant on-disk archive (time-bucketed
-	// JSONL segments with data-skipping sidecars) instead of discarding
-	// them, queryable via Tenant.ArchiveQuery and GET /v1/{t}/archive.
+	// RetainEvents policy into a per-tenant on-disk archive (segments
+	// with data-skipping sidecars; see internal/archive) instead of
+	// discarding them, queryable via Tenant.Query and GET /v1/{t}/archive.
 	ArchiveDir string
 	// ArchiveSegmentEvents rotates archive segments by record count
 	// (default 512); ArchiveBucketQuanta by time span (default 1024).
@@ -211,7 +205,7 @@ func (c PoolConfig) withDefaults() PoolConfig {
 type TenantStats struct {
 	Tenant string `json:"tenant"`
 	// Messages is the number of messages ingested over the tenant's
-	// lifetime (it survives checkpoint/restore).
+	// lifetime (it survives WAL snapshot + recovery).
 	Messages uint64 `json:"messages"`
 	// Quanta is the index of the last processed quantum.
 	Quanta int `json:"quanta"`
@@ -365,8 +359,8 @@ func archiveRecord(seq uint64, ev *detect.Event) archive.Record {
 // immutable epoch snapshot (detect.Snapshot) through an atomic pointer,
 // and every query endpoint resolves against the latest snapshot without
 // touching t.mu. The mutex has shrunk to the APPLY lock — it serialises
-// batch application, WAL snapshot capture and shutdown checkpointing
-// against each other, never against queries.
+// batch application and WAL snapshot capture (the cadence ones and the
+// final one at shutdown) against each other, never against queries.
 type Tenant struct {
 	name   string
 	broker *broker
@@ -381,13 +375,13 @@ type Tenant struct {
 	// appends (so WAL record order is queue order). It is never held
 	// while a batch is applying, and is always acquired before the
 	// scheduler's lock, never after. One deliberate exception to
-	// "pointer work only": with WALSyncEvery ≥ 1 an Enqueue holds qmu
-	// across its fsync, which can briefly delay this tenant's pop (and
-	// the one scheduler worker turn that wanted it) — the price of
-	// keeping the append-order/queue-order identity that replay needs.
-	// Group commit removes that exception: the append under qmu is a
-	// memory copy, and the durability wait (Log.Commit) happens after
-	// qmu is released.
+	// "pointer work only": at WALGroupCommitInterval 0 an Enqueue holds
+	// qmu across its fsync (the WAL commits on append), which can
+	// briefly delay this tenant's pop (and the one scheduler worker turn
+	// that wanted it) — the price of keeping the append-order/queue-order
+	// identity that replay needs. Group commit removes that exception:
+	// the append under qmu is a memory copy, and the durability wait
+	// (Log.Commit) happens after qmu is released.
 	qmu      sync.Mutex
 	pending  []walBatch // FIFO; pendHead is the ring start
 	pendHead int
@@ -454,7 +448,7 @@ type Tenant struct {
 	elapsed   atomic.Int64 // ns of detector time spent this process
 	since     atomic.Uint64
 
-	mu  sync.Mutex // the apply lock: guards det during apply/checkpoint
+	mu  sync.Mutex // the apply lock: guards det during apply/snapshot
 	det *detect.Detector
 }
 
@@ -624,7 +618,7 @@ func (t *Tenant) runOne() {
 }
 
 // apply ingests one batch (or flush marker) into the detector. The apply
-// lock is taken per message, not per batch, so checkpointing never waits
+// lock is taken per message, not per batch, so a snapshot never waits
 // behind a large batch; queries don't take it at all — they read the
 // epoch snapshot the quantum hook publishes.
 func (t *Tenant) apply(batch walBatch) {
@@ -635,13 +629,13 @@ func (t *Tenant) apply(batch walBatch) {
 		t.obs.Observe(obs.StageQueueWait, time.Since(batch.enq))
 	}
 	if batch.seq > 0 {
-		// Never apply a batch before its WAL record is durable. The
-		// synchronous append path guarantees this by construction; under
-		// group commit the record may still be in the in-process buffer,
-		// and applying early would let side effects of the batch (archive
-		// writes keyed by eviction ordinal, snapshots) reach disk for a
-		// record a crash can still lose — recovery would then disagree
-		// with the on-disk artifacts. If the commit failed (log
+		// Never apply a batch before its WAL record is durable. Commit on
+		// append guarantees this by construction; under group commit the
+		// record may still be in the in-process buffer, and applying
+		// early would let side effects of the batch (archive writes keyed
+		// by eviction ordinal, snapshots) reach disk for a record a crash
+		// can still lose — recovery would then disagree with the on-disk
+		// artifacts. If the commit failed (log
 		// fail-stopped), the batch was never acknowledged: drop it
 		// without touching the detector, keeping memory consistent with
 		// what recovery will rebuild.
@@ -686,7 +680,7 @@ func (t *Tenant) apply(batch walBatch) {
 	t.applied.Add(1)
 }
 
-// maybeSnapshot checkpoints the detector into the WAL once enough quanta
+// maybeSnapshot snapshots the detector into the WAL once enough quanta
 // have passed since the last snapshot, then compaction (inside
 // wal.Snapshot) drops the covered segments. It runs synchronously on
 // the worker between batches — that is what makes lastApplied exactly
@@ -741,9 +735,9 @@ func (t *Tenant) Name() string { return t.name }
 // retry), a batch that could never fit even in an empty queue returns
 // ErrBatchTooLarge (retrying is futile — the client must split it), and
 // a shut-down tenant returns ErrClosed. With the WAL enabled the batch
-// is durable before Enqueue returns: synchronously appended, or — under
-// group commit — buffered and then awaited past the committer's next
-// flush+fsync, which many concurrent Enqueues share. A group-commit
+// is fsynced before Enqueue returns: written and fsynced by the append
+// itself, or — under group commit — buffered and then awaited past the
+// committer's next flush+fsync, which many concurrent Enqueues share. A
 // flush failure fail-stops the tenant's log and the failed batch is
 // dropped unapplied (see Tenant.apply), so a client retry can never
 // double-log or double-apply it.
@@ -933,18 +927,6 @@ func (t *Tenant) ShedCheck() *ShedError {
 	return se
 }
 
-// ArchiveQuery serves the tenant's evicted-event history: records whose
-// lifecycle intersects [from, to] quanta (to < 0 = unbounded), filtered
-// by keyword when non-empty. The archive synchronises internally, so a
-// long history scan never blocks this tenant's ingest.
-func (t *Tenant) ArchiveQuery(from, to int, keyword string, limit int) ([]archive.Record, archive.QueryStats, error) {
-	arch := t.archLog()
-	if arch == nil {
-		return nil, archive.QueryStats{}, ErrNoArchive
-	}
-	return arch.Query(from, to, keyword, limit)
-}
-
 // Query runs one unified time-travel query across the tenant's live
 // epoch snapshot and its on-disk archive (when enabled), merged in
 // deterministic (LastQuantum, ID) order with LIMIT pushdown into both
@@ -1121,7 +1103,6 @@ func (t *Tenant) shutdown(ctx context.Context) error {
 // Pool manages the tenants of one serving process.
 type Pool struct {
 	cfg   PoolConfig
-	ckpt  *checkpointStore    // nil when persistence is disabled
 	sched *scheduler          // shared worker pool applying every tenant's batches
 	gc    *wal.GroupCommitter // nil unless WALGroupCommitInterval is set
 	tel   *obs.Telemetry      // nil when ObsDisabled
@@ -1135,7 +1116,7 @@ type Pool struct {
 	creating map[string]chan struct{}
 	closed   bool // refuses new tenants (set by BeginShutdown)
 
-	// shutdownOnce guards the drain+checkpoint pass; shutdownDone is
+	// shutdownOnce guards the drain+final-snapshot pass; shutdownDone is
 	// closed when it finishes so concurrent Shutdown callers wait for
 	// completion instead of returning success early.
 	shutdownOnce sync.Once
@@ -1157,9 +1138,8 @@ type Pool struct {
 	superviseOff  sync.Once
 }
 
-// NewPool builds a pool and restores tenants from disk: first by WAL
-// recovery (snapshot + tail replay — survives crashes), then from
-// clean-shutdown checkpoints for tenants without a WAL directory.
+// NewPool builds a pool and recovers every tenant found under WALDir
+// (latest snapshot + tail replay).
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	p := &Pool{
@@ -1193,19 +1173,14 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		p.sched.stop(true)
 		p.gc.Stop()
 	}
-	if cfg.CheckpointDir != "" {
-		store, err := newCheckpointStore(cfg.CheckpointDir, cfg.FS)
-		if err != nil {
-			return nil, err
-		}
-		p.ckpt = store
-	}
 	if cfg.WALDir != "" {
 		if err := p.fs.MkdirAll(cfg.WALDir, 0o755); err != nil {
+			abandon()
 			return nil, fmt.Errorf("server: wal dir: %w", err)
 		}
 		entries, err := p.fs.ReadDir(cfg.WALDir)
 		if err != nil {
+			abandon()
 			return nil, fmt.Errorf("server: list wal dir: %w", err)
 		}
 		for _, e := range entries {
@@ -1220,87 +1195,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 			p.tenants[e.Name()] = t
 		}
 	}
-	if p.ckpt != nil {
-		names, err := p.ckpt.List()
-		if err != nil {
-			abandon()
-			return nil, err
-		}
-		for _, name := range names {
-			if !tenantNameRE.MatchString(name) {
-				// A stray file (backup copy, editor droppings) would
-				// otherwise become a zombie tenant no route can reach.
-				continue
-			}
-			if existing, ok := p.tenants[name]; ok {
-				// The WAL is usually at least as new as the shutdown
-				// checkpoint — but if the server ran for a while with the
-				// WAL disabled, the checkpoint can be ahead. Prefer
-				// whichever processed more of the stream instead of
-				// silently rewinding the tenant.
-				det, err := p.ckpt.Load(name)
-				if err != nil {
-					abandon()
-					return nil, err
-				}
-				if det == nil {
-					continue
-				}
-				existing.mu.Lock()
-				cur := existing.det.Processed()
-				existing.mu.Unlock()
-				if det.Processed() <= cur {
-					continue
-				}
-				existing.shutdown(context.Background()) //nolint:errcheck // empty queue drains instantly
-				st := existing.storage
-				if st.wal != nil {
-					// Re-seed the WAL from the newer checkpoint; the
-					// records it held are superseded and compacted away.
-					if err := st.wal.Snapshot(st.wal.LastSeq(), det.Save); err != nil {
-						abandon()
-						return nil, err
-					}
-				}
-				t := newTenant(name, det, cfg, st, p.sched, p.tenantObs(name), p.kickSupervisor)
-				if st.wal != nil {
-					t.lastApplied.Store(st.wal.LastSeq())
-				}
-				t.lastSnapQuantum.Store(int64(det.AKG().Quantum()))
-				p.tenants[name] = t
-				continue
-			}
-			det, err := p.ckpt.Load(name)
-			if err != nil {
-				abandon()
-				return nil, err
-			}
-			if det == nil {
-				// Checkpoint vanished between List and Load (concurrent
-				// cleanup); skip rather than panic on a nil detector.
-				continue
-			}
-			st, err := p.openStorage(name)
-			if err != nil {
-				abandon()
-				return nil, err
-			}
-			if st.wal != nil {
-				// Base the fresh WAL on the checkpointed state: without
-				// this, a crash before the first cadence snapshot would
-				// replay the tail onto an empty detector.
-				if err := st.wal.Snapshot(st.wal.LastSeq(), det.Save); err != nil {
-					st.close()
-					abandon()
-					return nil, err
-				}
-			}
-			t := newTenant(name, det, cfg, st, p.sched, p.tenantObs(name), p.kickSupervisor)
-			t.lastApplied.Store(0)
-			t.lastSnapQuantum.Store(int64(det.AKG().Quantum()))
-			p.tenants[name] = t
-		}
-	}
 	if cfg.ArchiveDir != "" && cfg.ArchiveCompactInterval > 0 {
 		p.compactStop = make(chan struct{})
 		p.compactDone = make(chan struct{})
@@ -1309,7 +1203,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.WALDir != "" {
 		// The degradation supervisor only has work when a WAL exists to
 		// reopen and a device to probe; without one, storage errors are
-		// limited to checkpoints/archives and stay on their error paths.
+		// limited to archives and stay on their error paths.
 		p.superviseStop = make(chan struct{})
 		p.superviseKick = make(chan struct{}, 1)
 		p.superviseDone = make(chan struct{})
@@ -1387,7 +1281,6 @@ func (p *Pool) openStorage(name string) (*tenantStorage, error) {
 		}
 		wl, err := wal.Open(filepath.Join(p.cfg.WALDir, name), wal.Options{
 			SegmentBytes: p.cfg.WALSegmentBytes,
-			SyncEvery:    p.cfg.WALSyncEvery,
 			GroupCommit:  p.gc,
 			OnFlush:      onFlush,
 			FS:           p.fs,
@@ -1633,7 +1526,7 @@ func (p *Pool) Stats() []TenantStats {
 // tenant's SSE stream, without draining anything yet. Server.Shutdown
 // calls it before draining HTTP: http.Server.Shutdown waits for
 // connections to go idle, and an SSE subscriber never goes idle on its
-// own — without this the drain (and therefore checkpointing) stalls for
+// own — without this the drain (and therefore the final snapshot) stalls for
 // the whole grace period behind a single connected client. Refusing new
 // tenants first closes the race where a tenant created mid-drain gets a
 // fresh broker that a late subscriber could hang the drain on.
@@ -1654,7 +1547,8 @@ func (p *Pool) BeginShutdown() []*Tenant {
 }
 
 // Shutdown stops ingest on every tenant, drains their queues (bounded by
-// ctx), and — when persistence is enabled — checkpoints each detector.
+// ctx), and — when the WAL is enabled — takes each tenant's final WAL
+// snapshot, so a restart recovers without replaying a tail.
 // The first error is returned, but every tenant is still processed.
 // Concurrent calls block until the shutdown pass completes (bounded by
 // their own ctx) rather than reporting success while it is in flight.
@@ -1677,14 +1571,6 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 				drainFailed = true
 				if first == nil {
 					first = derr
-				}
-			}
-			if p.ckpt != nil {
-				t.mu.Lock()
-				err := p.ckpt.Save(t.name, t.det)
-				t.mu.Unlock()
-				if err != nil && first == nil {
-					first = err
 				}
 			}
 			if derr != nil {
@@ -1719,7 +1605,7 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 		// inside its apply step — don't wait on it, exactly as the old
 		// per-tenant goroutine was abandoned in that case. The group
 		// committer stops last: every log was flushed on Close above, and
-		// a straggler append after Stop degrades to a synchronous flush.
+		// a straggler append after Stop commits on append.
 		p.sched.stop(!drainFailed)
 		p.gc.Stop()
 		p.shutdownErr = first

@@ -1,6 +1,6 @@
 // Package vfs is the storage-fault seam of the persistence layer: a
-// minimal filesystem interface threaded through the WAL, the archive,
-// and server checkpoints so tests can inject EIO, ENOSPC, torn writes
+// minimal filesystem interface threaded through the WAL and the archive
+// so tests can inject EIO, ENOSPC, torn writes
 // and slow IO at any file operation, and the serving layer can degrade
 // gracefully instead of fail-stopping until a restart.
 //

@@ -15,14 +15,14 @@ import (
 	"repro/internal/vfs"
 )
 
-// TestReopenAfterTornWrite: a torn synchronous append fail-stops the
-// log; Reopen truncates back to the acked prefix and appends resume.
+// TestReopenAfterTornWrite: a torn commit-on-append write fail-stops
+// the log; Reopen truncates back to the acked prefix and appends resume.
 // Replay after a real close/reopen must equal exactly the acked
 // records — the torn bytes and the failed record must be gone.
 func TestReopenAfterTornWrite(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	l, err := Open(dir, Options{SyncEvery: 1, FS: ff})
+	l, err := Open(dir, Options{FS: ff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +35,8 @@ func TestReopenAfterTornWrite(t *testing.T) {
 		want[seq] = batch(i, 2)
 	}
 
-	// Tear the next write 5 bytes in, then break the rollback truncate
-	// too so the log actually fail-stops (a successful rollback keeps a
-	// synchronous log healthy).
+	// Tear the next write 5 bytes in, and break the rollback truncate
+	// too: Reopen must cut the torn bytes away itself.
 	wr := ff.Inject(vfs.Rule{Op: vfs.OpWrite, Path: ".wal", TornBytes: 5, Count: 1})
 	tr := ff.Inject(vfs.Rule{Op: vfs.OpTruncate, Path: ".wal", Count: 1})
 	if _, err := l.Append(batch(4, 2)); err == nil {
@@ -154,7 +153,7 @@ func TestReopenAfterGroupFsyncFailure(t *testing.T) {
 func TestReopenENOSPCFirstWrite(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	l, err := Open(dir, Options{SyncEvery: 1, FS: ff})
+	l, err := Open(dir, Options{FS: ff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func TestReopenENOSPCFirstWrite(t *testing.T) {
 func TestReopenStaysFailedWhileDiskSick(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	l, err := Open(dir, Options{SyncEvery: 1, FS: ff})
+	l, err := Open(dir, Options{FS: ff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +236,7 @@ func TestReopenStaysFailedWhileDiskSick(t *testing.T) {
 func TestSnapshotENOSPCLeavesPreviousIntact(t *testing.T) {
 	dir := t.TempDir()
 	ff := vfs.NewFaultFS(nil)
-	l, err := Open(dir, Options{SyncEvery: 1, FS: ff})
+	l, err := Open(dir, Options{FS: ff})
 	if err != nil {
 		t.Fatal(err)
 	}

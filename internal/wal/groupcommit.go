@@ -51,8 +51,8 @@ func (g *GroupCommitter) Interval() time.Duration { return g.interval }
 // noteDirty registers l for the next flush pass. Called by the log with
 // its own mutex held, exactly once per empty→non-empty transition of
 // its pending buffer. Returns true when the committer has stopped — the
-// caller must then flush synchronously itself (it holds the lock the
-// committer would need, so it cannot be called back).
+// caller must then flush inline itself (it holds the lock the committer
+// would need, so it cannot be called back).
 func (g *GroupCommitter) noteDirty(l *Log) (stopped bool) {
 	g.mu.Lock()
 	if g.stopped {
@@ -122,9 +122,8 @@ func (g *GroupCommitter) flushAll() {
 }
 
 // Stop flushes outstanding work and terminates the committer. After
-// Stop, appends on attached logs degrade to synchronous flushes — no
-// record can be stranded — but the right order is: close the logs,
-// then Stop. Safe to call more than once; nil-safe.
+// Stop, appends on attached logs commit on append — no record can be
+// stranded — but the right order is: close the logs, then Stop. Safe to call more than once; nil-safe.
 func (g *GroupCommitter) Stop() {
 	if g == nil {
 		return

@@ -13,7 +13,7 @@ import (
 
 // TestGroupCommitRoundTrip: appends on two logs sharing one committer
 // are acknowledged by Commit, durable across reopen, and replay in
-// order — the synchronous contract, group-committed.
+// order — the commit-on-append contract, group-committed.
 func TestGroupCommitRoundTrip(t *testing.T) {
 	gc := NewGroupCommitter(500 * time.Microsecond)
 	defer gc.Stop()
@@ -163,7 +163,7 @@ func TestGroupCommitSnapshotFlushes(t *testing.T) {
 }
 
 // TestGroupCommitAfterStopDegradesToSync: once the committer stops,
-// appends flush synchronously instead of stranding records.
+// appends commit on append instead of stranding records.
 func TestGroupCommitAfterStopDegradesToSync(t *testing.T) {
 	gc := NewGroupCommitter(500 * time.Microsecond)
 	dir := t.TempDir()
@@ -193,8 +193,8 @@ func TestGroupCommitAfterStopDegradesToSync(t *testing.T) {
 }
 
 // TestAppendSteadyStateAllocs pins the pooled-buffer claim on the whole
-// synchronous append path (encode + frame + write): steady state must
-// not allocate.
+// commit-on-append path (encode + frame + write + fsync): steady state
+// must not allocate.
 func TestAppendSteadyStateAllocs(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{SegmentBytes: 1 << 40}) // never rotate
 	if err != nil {

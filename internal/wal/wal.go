@@ -63,24 +63,20 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this many
 	// bytes (checked after each append). Zero selects 4 MiB.
 	SegmentBytes int64
-	// SyncEvery fsyncs the active segment after every N appends; 0 never
-	// fsyncs explicitly (the OS page cache still survives kill -9; only
-	// power loss can lose the unsynced tail). 1 is fully synchronous.
-	// Ignored when GroupCommit is set (every group flush fsyncs).
-	SyncEvery int
 	// GroupCommit, when non-nil, switches the log to group-committed
 	// appends: Append buffers the framed record in memory and returns
 	// immediately; the shared committer goroutine flushes every dirty
 	// log's buffer with one write and one fsync per interval, and
 	// Commit(seq) blocks until the record is durable. Callers that ack
-	// after Commit keep the exact durability contract of synchronous
-	// appends while all concurrent appenders — across every tenant
-	// sharing the committer — split the fsync cost.
+	// after Commit keep the exact durability contract of commit on
+	// append while all concurrent appenders — across every tenant
+	// sharing the committer — split the fsync cost. Nil commits on
+	// append: Append writes and fsyncs the record before it returns.
 	GroupCommit *GroupCommitter
 	// OnFlush, when non-nil, is called with the wall time of each
-	// successful write+fsync of pending group-commit records, from the
-	// flushing goroutine with the log's lock held — it must be fast and
-	// must not call back into the log. Serving layers hook it to feed
+	// successful write+fsync of pending records, from the flushing
+	// goroutine with the log's lock held — it must be fast and must not
+	// call back into the log. Serving layers hook it to feed
 	// fsync-latency histograms.
 	OnFlush func(time.Duration)
 	// FS overrides the filesystem behind every file operation — the
@@ -103,7 +99,7 @@ type Log struct {
 	dir string
 	opt Options
 	fs  vfs.FS
-	gc  *GroupCommitter // nil = synchronous appends
+	gc  *GroupCommitter // nil = commit on append
 
 	mu       sync.Mutex
 	f        vfs.File // active segment
@@ -113,16 +109,12 @@ type Log struct {
 	snapSeq  uint64   // seq of the latest snapshot
 	hasSnap  bool     // a snapshot exists (snapSeq 0 is a valid position)
 	failed   error    // set when the active segment may hold garbage
-	unsynced int      // appends since the last fsync
 	segCount int      // on-disk segment files (avoids ReadDir per metric read)
 
-	// encBuf is the pooled record-encoding buffer: one frame (header +
-	// kind + JSON batch) is built here per append, then written with a
-	// single Write (or copied to pend under group commit).
-	encBuf []byte
-	// Group-commit state: pend accumulates framed records not yet
-	// written to the segment; committed is the seq of the last record
-	// durably flushed (== seq in synchronous mode); commitCh broadcasts
+	// pend accumulates framed records (header + kind + JSON batch) not
+	// yet written to the segment; each append encodes straight into its
+	// tail, and flushLocked writes it with a single Write. committed is
+	// the seq of the last record durably flushed; commitCh broadcasts
 	// each flush to Commit waiters.
 	pend      []byte
 	committed uint64
@@ -206,12 +198,11 @@ func Open(dir string, opt Options) (*Log, error) {
 	return l, nil
 }
 
-// Append frames and writes one ingest batch, returning its sequence
-// number (1-based, monotonic). In synchronous mode (no group
-// committer) the record is on disk (page cache at least; fsynced per
-// Options.SyncEvery) before Append returns, so a batch acknowledged to
-// a client is never lost to a process kill. Under group commit the
-// record is only buffered — callers must Commit(seq) before acking.
+// Append frames one ingest batch and returns its sequence number
+// (1-based, monotonic). Without a group committer the record is written
+// and fsynced before Append returns. Under group commit it is only
+// buffered — callers must Commit(seq) before acking. Either way, a
+// batch acknowledged to a client survives power loss.
 func (l *Log) Append(msgs []stream.Message) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -229,75 +220,37 @@ func (l *Log) AppendFlush() (uint64, error) {
 	return l.appendRecordLocked(recFlush, nil)
 }
 
-// appendRecordLocked encodes one frame into the pooled buffer and either
-// writes it (synchronous mode) or parks it on the pending group-commit
-// buffer.
+// appendRecordLocked encodes one frame onto the pending buffer, then
+// either hands the log to the group committer or, with no committer (or
+// one that has stopped), flushes it inline.
 func (l *Log) appendRecordLocked(kind byte, msgs []stream.Message) (uint64, error) {
 	if l.failed != nil {
 		return 0, fmt.Errorf("wal: log failed: %w", l.failed)
 	}
-	buf := append(l.encBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0, kind)
+	start := len(l.pend)
+	buf := append(l.pend, 0, 0, 0, 0, 0, 0, 0, 0, kind)
 	if kind == recBatch {
 		buf = appendMessagesJSON(buf, msgs)
 	}
-	payload := buf[frameHdr:]
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	l.encBuf = buf
-
-	if l.gc != nil {
-		wasEmpty := len(l.pend) == 0
-		l.pend = append(l.pend, buf...)
-		l.seq++
-		if wasEmpty {
-			if stopped := l.gc.noteDirty(l); stopped {
-				// The committer is gone (shutdown path); degrade to a
-				// synchronous flush so no record can be stranded.
-				if err := l.flushLocked(); err != nil {
-					return 0, err
-				}
-			}
-		}
+	frame := buf[start:]
+	payload := frame[frameHdr:]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
+	l.pend = buf
+	l.seq++
+	// The committer is told once per empty→non-empty transition; when it
+	// has stopped (shutdown path), flush here so no record is stranded.
+	if l.gc != nil && (start > 0 || !l.gc.noteDirty(l)) {
 		return l.seq, nil
 	}
-
-	if l.f == nil {
-		if err := l.rotate(l.seq + 1); err != nil {
-			return 0, err
-		}
-	}
-	if _, err := l.f.Write(buf); err != nil {
-		l.rollback()
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	l.seq++
-	l.size += int64(len(buf))
-	l.unsynced++
-	if l.opt.SyncEvery > 0 && l.unsynced >= l.opt.SyncEvery {
-		if err := l.f.Sync(); err != nil {
-			// The record is written but its durability is in doubt, and
-			// the caller will report failure — roll it back so a client
-			// retry cannot leave two copies for replay to double-apply.
-			l.seq--
-			l.size -= int64(len(buf))
-			l.unsynced--
-			l.rollback()
-			return 0, fmt.Errorf("wal: fsync: %w", err)
-		}
-		l.unsynced = 0
-	}
-	l.committed = l.seq
-	if l.size >= l.opt.SegmentBytes {
-		// The record is committed; a failed rotation must not fail the
-		// append (the caller would retry and duplicate it). Rotation is
-		// simply reattempted on the next append.
-		l.rotate(l.seq + 1) //nolint:errcheck // deferred to next append
+	if err := l.flushLocked(); err != nil {
+		return 0, err
 	}
 	return l.seq, nil
 }
 
 // Commit blocks until record seq is durable (flushed and fsynced by the
-// group committer) or the log has failed. In synchronous mode it
+// group committer) or the log has failed. Without a committer it
 // returns immediately: Append already provided the durability.
 func (l *Log) Commit(seq uint64) error {
 	if l.gc == nil {
@@ -342,10 +295,12 @@ func (l *Log) flushCommit() {
 }
 
 // flushLocked writes the pending buffer with one Write, fsyncs, and
-// wakes Commit waiters. A write or fsync failure fail-stops the log:
-// the pending records were never acknowledged (their Commit calls
-// return the error), and accepting further appends after a partial
-// flush could tear the segment.
+// wakes Commit waiters. It is the only code that writes a segment. A
+// write or fsync failure rolls the segment back to its last durable
+// offset and fail-stops the log: the pending records were never
+// acknowledged (their Append or Commit calls return the error), and
+// accepting further appends after a partial flush could tear the
+// segment. Reopen recovers.
 func (l *Log) flushLocked() error {
 	if l.failed != nil {
 		return l.failed
@@ -364,20 +319,20 @@ func (l *Log) flushLocked() error {
 		}
 	}
 	if _, err := l.f.Write(l.pend); err != nil {
+		err = fmt.Errorf("wal: write: %w", err)
 		l.rollback() // drop any partially written frame
-		l.fail(fmt.Errorf("wal: group flush: %w", err))
-		return l.failed
+		l.fail(err)
+		return err
 	}
 	if err := l.f.Sync(); err != nil {
-		// The frames are in the file but were never acknowledged (their
-		// Commit waiters get this error). Truncate them away — exactly
-		// like the synchronous path's fsync rollback — or a restart
-		// would replay records whose clients were told to retry,
-		// double-applying on retry. l.size still names the pre-flush
-		// offset here.
+		// The frames are in the file but were never acknowledged. Truncate
+		// them away, or a restart would replay records whose clients were
+		// told to retry, double-applying on retry. l.size still names the
+		// pre-flush offset here.
+		err = fmt.Errorf("wal: fsync: %w", err)
 		l.rollback()
-		l.fail(fmt.Errorf("wal: group fsync: %w", err))
-		return l.failed
+		l.fail(err)
+		return err
 	}
 	if l.opt.OnFlush != nil {
 		l.opt.OnFlush(time.Since(flushStart)) //repro:wallclock-exempt flush-latency callback; durability telemetry, not record content
@@ -385,12 +340,14 @@ func (l *Log) flushLocked() error {
 	l.size += int64(len(l.pend))
 	l.pend = l.pend[:0]
 	l.committed = l.seq
-	l.unsynced = 0
 	if l.commitCh != nil {
 		close(l.commitCh)
 		l.commitCh = nil
 	}
 	if l.size >= l.opt.SegmentBytes {
+		// The records are committed; a failed rotation must not fail the
+		// flush (the caller would retry and duplicate them). Rotation is
+		// simply reattempted on the next flush.
 		l.rotate(l.seq + 1) //nolint:errcheck // reattempted on next flush
 	}
 	return nil
@@ -408,16 +365,14 @@ func (l *Log) fail(err error) {
 	}
 }
 
-// rollback discards a partially-written frame after a failed append by
-// truncating the active segment to the last good offset. Without it a
-// later successful append would land after torn bytes mid-segment, and
-// recovery would either refuse the segment or truncate away records
-// that were already acknowledged. If even the truncate fails the log
-// goes fail-stop: better to refuse appends than to ack unrecoverable
-// ones.
+// rollback discards the frames of a failed flush by truncating the
+// active segment to the last durable offset, so a restart before Reopen
+// cannot replay records whose callers were told they failed. The caller
+// fail-stops the log either way; a failed truncate becomes the recorded
+// cause, and Reopen truncates again.
 func (l *Log) rollback() {
 	if err := l.f.Truncate(l.size); err != nil {
-		l.failed = fmt.Errorf("truncate after failed append: %w", err)
+		l.failed = fmt.Errorf("truncate after failed flush: %w", err)
 	}
 }
 
@@ -442,7 +397,7 @@ func (l *Log) rotate(firstSeq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: new segment: %w", err)
 	}
-	l.f, l.segStart, l.size, l.unsynced = f, firstSeq, 0, 0
+	l.f, l.segStart, l.size = f, firstSeq, 0
 	l.segCount++
 	return nil
 }
@@ -532,8 +487,8 @@ func (l *Log) compact() error {
 
 // LatestSnapshot opens the newest snapshot for reading. Returns
 // (nil, 0, nil) when the log has none. A snapshot at position 0 (state
-// seeded before any record — e.g. basing a fresh WAL on a restored
-// checkpoint) is a real snapshot, not "none".
+// seeded before any record — e.g. a graceful shutdown before the first
+// append) is a real snapshot, not "none".
 func (l *Log) LatestSnapshot() (io.ReadCloser, uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -669,7 +624,7 @@ func (l *Log) Reopen() error {
 			l.segCount--
 		}
 		l.failed = nil
-		l.f, l.segStart, l.size, l.unsynced = nil, 0, 0, 0
+		l.f, l.segStart, l.size = nil, 0, 0
 		return nil
 	}
 	start := segs[len(segs)-1]
@@ -703,7 +658,7 @@ func (l *Log) Reopen() error {
 		if err != nil {
 			return fmt.Errorf("wal: reopen: %w", err)
 		}
-		l.f, l.segStart, l.size, l.unsynced = f, start, 0, 0
+		l.f, l.segStart, l.size = f, start, 0
 		l.failed = nil
 		return nil
 	}
@@ -748,7 +703,7 @@ func (l *Log) SegmentCount() int {
 }
 
 // Sync flushes any group-committed buffer and fsyncs the active
-// segment regardless of SyncEvery.
+// segment.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -758,7 +713,6 @@ func (l *Log) Sync() error {
 	if l.f == nil {
 		return nil
 	}
-	l.unsynced = 0
 	return l.f.Sync()
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/stream"
+	"repro/internal/vfs"
 )
 
 func batch(seq, n int) []stream.Message {
@@ -309,26 +310,55 @@ func TestSnapshotAtSeqZero(t *testing.T) {
 	}
 }
 
-// TestSyncEvery exercises the fsync cadence path (correctness only; the
-// durability claim cannot be asserted in-process).
+// TestSyncEvery pins commit on append, the ack rule without a group
+// committer: every Append returns with its record written and fsynced,
+// so the committed position never trails the appended one and a fresh
+// Open of the directory sees every record without a Close.
 func TestSyncEvery(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{SyncEvery: 1})
+	dir := t.TempDir()
+	ff := vfs.NewFaultFS(nil)
+	l, err := Open(dir, Options{FS: ff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	want := map[uint64][]stream.Message{}
 	for i := 1; i <= 3; i++ {
-		if _, err := l.Append(batch(i, 1)); err != nil {
+		seq, err := l.Append(batch(i, 1))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if got := l.CommittedSeq(); got != seq {
+			t.Fatalf("CommittedSeq after append %d = %d, want %d", i, got, seq)
+		}
+		if err := l.Commit(seq); err != nil {
+			t.Fatalf("Commit(%d) = %v", seq, err)
+		}
+		want[seq] = batch(i, 1)
 	}
-	if l.LastSeq() != 3 {
-		t.Fatalf("LastSeq = %d", l.LastSeq())
+	// A failing fsync must fail the Append itself: nothing is acked
+	// that is not durable.
+	rule := ff.Inject(vfs.Rule{Op: vfs.OpSync, Path: segExt})
+	if _, err := l.Append(batch(4, 1)); err == nil {
+		t.Fatal("Append through a failed fsync returned nil")
+	}
+	ff.ClearRule(rule)
+	if got := l.CommittedSeq(); got != 3 {
+		t.Fatalf("CommittedSeq after failed fsync = %d, want 3", got)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := collect(t, l2, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("records visible to a fresh Open:\ngot  %v\nwant %v", got, want)
 	}
 }
 
-// BenchmarkWALAppend measures framed append throughput at a typical
-// ingest batch size (64 messages, ~80 bytes of text each).
+// BenchmarkWALAppend measures commit-on-append throughput (encode,
+// frame, write, fsync) at a typical ingest batch size (64 messages,
+// ~80 bytes of text each).
 func BenchmarkWALAppend(b *testing.B) {
 	l, err := Open(b.TempDir(), Options{})
 	if err != nil {
