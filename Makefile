@@ -77,4 +77,4 @@ bench-smoke: fuzz-smoke
 	go test -run xxx -bench . -benchtime 1x ./...
 
 fuzz-smoke:
-	go test -run 'Fuzz' -count=1 ./internal/server/ ./internal/query/ ./internal/archive/
+	go test -run 'Fuzz' -count=1 ./internal/server/ ./internal/query/ ./internal/archive/ ./internal/akg/

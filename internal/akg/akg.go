@@ -22,6 +22,12 @@
 //
 // All graph mutations flow through the core.Engine, so clusters are
 // maintained incrementally as a side effect of AKG maintenance.
+//
+// Keywords arrive as interned, dense dygraph.NodeIDs, so per-keyword
+// state lives in slices indexed by NodeID (sized by the largest ID seen)
+// rather than maps, and each keyword's windowed user set is a sorted
+// array with a parallel multiplicity column (idSet). The window slide,
+// Jaccard tests and union walks are then linear merges over flat arrays.
 package akg
 
 import (
@@ -97,74 +103,103 @@ type QuantumStats struct {
 	DirtyNodes int
 }
 
+// idSet is one keyword's windowed user community as two parallel
+// columns: users holds the distinct users ascending — the set itself,
+// read directly by the Jaccard merge, the union walks and sketch builds
+// — and cnt[i] is the number of live ring quanta in which users[i] used
+// the keyword. Observing a quantum merges its users in; expiring one
+// decrements them and compacts away users whose count reaches zero.
 type idSet struct {
-	counts map[uint64]int // user -> observations inside the window
-	// sorted caches the distinct users ascending. Membership changes —
-	// a user first observed (userAdded) or expired off the window
-	// (userRemoved) — accumulate as deltas, and sortedUsers folds them
-	// in with a linear merge instead of re-sorting the whole set: the
-	// pairwise-Jaccard path needs ordered lists, and rebuilding them
-	// with pdqsort every quantum was the hottest code in the system.
-	// sketchStale gates the keyword's cached Min-Hash sketch (held in
-	// AKG.sketches), which only needs set membership, not order.
-	sorted      []uint64
-	added       []uint64 // joined since sorted was built (unsorted)
-	removed     []uint64 // left since sorted was built (unsorted)
+	users []uint64
+	cnt   []int32
+	// sketch is the keyword's Min-Hash sketch, built on first use;
+	// sketchStale marks it out of date with users.
+	sketch      *minhash.Sketch
 	sketchStale bool
 }
 
-func (s *idSet) size() int { return len(s.counts) }
-
-// userAdded records that u entered the distinct-user set. sorted == nil
-// means a full rebuild is already pending — no deltas needed.
-func (s *idSet) userAdded(u uint64) {
-	s.sketchStale = true
-	if s.sorted == nil {
-		return
-	}
-	// A user expiring and reappearing within one delta window must
-	// cancel out, or the merge would both exclude and re-include it.
-	// Deltas are small (recent churn), so a linear scan beats an index;
-	// the scanned list is the opposite delta, which is almost always
-	// empty (expiry happens before observation within a quantum).
-	for i, r := range s.removed {
-		if r == u {
-			s.removed[i] = s.removed[len(s.removed)-1]
-			s.removed = s.removed[:len(s.removed)-1]
-			return // still present in sorted
+// observe merges one quantum's users of the keyword (ascending,
+// distinct) into the set and reports whether any of them was new.
+func (s *idSet) observe(us []uint64) (grew bool) {
+	n, added, lo := len(s.users), 0, 0
+	for _, u := range us {
+		i, found := seek(s.users, lo, u)
+		if lo = i; found {
+			s.cnt[i]++
+			lo++
+		} else {
+			added++
 		}
 	}
-	s.added = append(s.added, u)
-	s.maybeDegrade()
-}
-
-// userRemoved records that u left the distinct-user set.
-func (s *idSet) userRemoved(u uint64) {
-	s.sketchStale = true
-	if s.sorted == nil {
-		return
+	if added == 0 {
+		return false
 	}
-	for i, r := range s.added {
-		if r == u {
-			s.added[i] = s.added[len(s.added)-1]
-			s.added = s.added[:len(s.added)-1]
-			return // never made it into sorted
+	s.users = slices.Grow(s.users, added)[:n+added]
+	s.cnt = slices.Grow(s.cnt, added)[:n+added]
+	// Merge from the back so every element moves at most once; counts of
+	// users already present were bumped above.
+	i, w := n-1, n+added-1
+	for j := len(us) - 1; j >= 0; w-- {
+		switch {
+		case i >= 0 && s.users[i] >= us[j]:
+			if s.users[i] == us[j] {
+				j--
+			}
+			s.users[w], s.cnt[w] = s.users[i], s.cnt[i]
+			i--
+		default:
+			s.users[w], s.cnt[w] = us[j], 1
+			j--
 		}
 	}
-	s.removed = append(s.removed, u)
-	s.maybeDegrade()
+	s.sketchStale = true
+	return true
 }
 
-// maybeDegrade abandons delta tracking once the accumulated churn
-// rivals the set size (a keyword nobody Jaccard-compared for many
-// quanta) — at that point one full rebuild is cheaper than carrying
-// and scanning the deltas.
-func (s *idSet) maybeDegrade() {
-	if d := len(s.added) + len(s.removed); d > 64 && d*2 > len(s.counts) {
-		s.sorted = nil
-		s.added = s.added[:0]
-		s.removed = s.removed[:0]
+// expire takes back one quantum's users of the keyword (ascending, all
+// members) and reports whether any user left the set.
+func (s *idSet) expire(us []uint64) (shrank bool) {
+	first, lo := -1, 0
+	for _, u := range us {
+		i, found := seek(s.users, lo, u)
+		if lo = i; !found {
+			continue
+		}
+		if s.cnt[i]--; s.cnt[i] == 0 && first < 0 {
+			first = i
+		}
+		lo++
 	}
+	if first < 0 {
+		return false
+	}
+	w := first
+	for i := first; i < len(s.users); i++ {
+		if s.cnt[i] > 0 {
+			s.users[w], s.cnt[w] = s.users[i], s.cnt[i]
+			w++
+		}
+	}
+	s.users, s.cnt = s.users[:w], s.cnt[:w]
+	s.sketchStale = true
+	return true
+}
+
+// seek returns the position of the first element of the ascending xs,
+// at or after lo, that is ≥ u, and whether it equals u. It gallops from
+// lo before bisecting, so an ascending run of targets costs O(log gap)
+// each: near-linear when a quantum's users are a large share of the
+// set, logarithmic when they are a few.
+func seek(xs []uint64, lo int, u uint64) (int, bool) {
+	hi, step := lo, 1
+	for hi < len(xs) && xs[hi] < u {
+		lo = hi + 1
+		hi += step
+		step *= 2
+	}
+	i, _ := slices.BinarySearch(xs[lo:min(hi, len(xs))], u)
+	i += lo
+	return i, i < len(xs) && xs[i] == u
 }
 
 // quantumObs is one quantum's observations in columnar form: distinct
@@ -188,9 +223,16 @@ type AKG struct {
 	eng     *core.Engine
 	quantum int
 
-	ring    []quantumObs // per live quantum, oldest first
-	idsets  map[dygraph.NodeID]*idSet
-	present map[dygraph.NodeID]bool // keyword currently in AKG
+	ring []quantumObs // per live quantum, oldest first
+
+	// Per-keyword state, indexed by NodeID; grow keeps the slices the
+	// same length.
+	sets    []idSet
+	present []bool   // keyword currently in AKG
+	visit   []uint32 // refreshEdges position stamps (see there)
+	slot    []int32  // observation grouping: per-key count, then cursor
+	nodes   int      // number of present keywords
+	stamp   uint32   // last visit stamp handed out
 
 	// dirty is the set of vertices whose windowed support changed this
 	// quantum (new user observed, or a user expired off the window).
@@ -199,22 +241,17 @@ type AKG struct {
 	dirty dygraph.DirtySet
 
 	// scratch reused across quanta
-	sketches   map[dygraph.NodeID]*minhash.Sketch
 	keyScratch []dygraph.NodeID
-	curScratch []int32
 	set1       []dygraph.NodeID
 	set2       []dygraph.NodeID
 	refresh    []dygraph.NodeID // set2 ++ set1 concatenation for refreshEdges
 	nbrs       []dygraph.NodeID // sorted-neighbor scratch
-	visited    map[dygraph.Edge]struct{}
 	drop       []edgeRef
 	keep       []edgeRef
 	weights    []float64
-	high       map[dygraph.NodeID]bool
 
 	// union-support scratch (single-threaded use under the apply lock).
-	mergeScratch []uint64
-	listScratch  [][]uint64
+	listScratch [][]uint64
 }
 
 type edgeRef struct{ a, b dygraph.NodeID }
@@ -223,15 +260,18 @@ type edgeRef struct{ a, b dygraph.NodeID }
 // callbacks go to hooks.
 func New(cfg Config, hooks core.Hooks) *AKG {
 	cfg = cfg.withDefaults()
-	return &AKG{
-		cfg:      cfg,
-		eng:      core.NewEngine(hooks),
-		idsets:   make(map[dygraph.NodeID]*idSet),
-		present:  make(map[dygraph.NodeID]bool),
-		sketches: make(map[dygraph.NodeID]*minhash.Sketch),
-		visited:  make(map[dygraph.Edge]struct{}),
-		high:     make(map[dygraph.NodeID]bool),
+	return &AKG{cfg: cfg, eng: core.NewEngine(hooks)}
+}
+
+// grow extends the NodeID-indexed state so that keyword k is covered.
+func (a *AKG) grow(k dygraph.NodeID) {
+	if int(k) < len(a.sets) {
+		return
 	}
+	a.sets = dygraph.GrowTo(a.sets, k)
+	a.present = dygraph.GrowTo(a.present, k)
+	a.visit = dygraph.GrowTo(a.visit, k)
+	a.slot = dygraph.GrowTo(a.slot, k)
 }
 
 // Config returns the effective configuration (defaults resolved).
@@ -246,11 +286,16 @@ func (a *AKG) Quantum() int { return a.quantum }
 // Support returns the number of distinct users associated with keyword k
 // inside the current window — the node weight w_i of the ranking function
 // (Section 6).
-func (a *AKG) Support(k dygraph.NodeID) int {
-	if s, ok := a.idsets[k]; ok {
-		return s.size()
+func (a *AKG) Support(k dygraph.NodeID) int { return len(a.sortedUsers(k)) }
+
+// sortedUsers returns keyword k's distinct windowed users, ascending
+// (nil for an unseen keyword). The slice is the id set's own column,
+// valid until the next ProcessQuantum.
+func (a *AKG) sortedUsers(k dygraph.NodeID) []uint64 {
+	if int(k) >= len(a.sets) {
+		return nil
 	}
-	return 0
+	return a.sets[k].users
 }
 
 // UnionSupport returns the number of distinct users associated with any of
@@ -305,43 +350,6 @@ func countDistinct(lists [][]uint64) int {
 	}
 }
 
-// UserJaccard returns the Jaccard coefficient between the windowed user
-// communities of two keyword sets. The detector's post-processing uses it
-// to correlate clusters that describe the same real-world event with
-// different vocabularies (Section 1.1, case 2: "users indeed used
-// different keywords, providing different perspectives about the same
-// event" — such clusters show strong user overlap).
-func (a *AKG) UserJaccard(ks1, ks2 []dygraph.NodeID) float64 {
-	u1 := a.unionUsers(ks1)
-	u2 := a.unionUsers(ks2)
-	if len(u1) == 0 || len(u2) == 0 {
-		return 0
-	}
-	if len(u1) > len(u2) {
-		u1, u2 = u2, u1
-	}
-	inter := 0
-	for u := range u1 {
-		if _, ok := u2[u]; ok {
-			inter++
-		}
-	}
-	union := len(u1) + len(u2) - inter
-	return float64(inter) / float64(union)
-}
-
-func (a *AKG) unionUsers(ks []dygraph.NodeID) map[uint64]struct{} {
-	users := make(map[uint64]struct{})
-	for _, k := range ks {
-		if set, ok := a.idsets[k]; ok {
-			for u := range set.counts {
-				users[u] = struct{}{}
-			}
-		}
-	}
-	return users
-}
-
 // DirtyNodes returns the vertices whose windowed user support changed
 // during the last ProcessQuantum, in mark order. Valid until the next
 // ProcessQuantum. Structural changes (edges added/removed/reweighted,
@@ -351,38 +359,13 @@ func (a *AKG) unionUsers(ks []dygraph.NodeID) map[uint64]struct{} {
 func (a *AKG) DirtyNodes() []dygraph.NodeID { return a.dirty.Nodes() }
 
 // InAKG reports whether keyword k is currently an AKG node.
-func (a *AKG) InAKG(k dygraph.NodeID) bool { return a.present[k] }
+func (a *AKG) InAKG(k dygraph.NodeID) bool { return int(k) < len(a.present) && a.present[k] }
 
 // NodeCount returns the number of AKG nodes.
-func (a *AKG) NodeCount() int { return len(a.present) }
+func (a *AKG) NodeCount() int { return a.nodes }
 
 // EdgeCount returns the number of AKG edges.
 func (a *AKG) EdgeCount() int { return a.eng.Graph().EdgeCount() }
-
-// Jaccard returns the exact edge correlation of two keywords' windowed
-// user-id sets.
-func (a *AKG) Jaccard(k1, k2 dygraph.NodeID) float64 {
-	s1, ok1 := a.idsets[k1]
-	s2, ok2 := a.idsets[k2]
-	if !ok1 || !ok2 || s1.size() == 0 || s2.size() == 0 {
-		return 0
-	}
-	small, large := s1.counts, s2.counts
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	inter := 0
-	for u := range small {
-		if _, ok := large[u]; ok {
-			inter++
-		}
-	}
-	union := len(s1.counts) + len(s2.counts) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
 
 // ProcessQuantum ingests one quantum of per-user keyword sets (keywords
 // must be distinct within each user's set) and performs the five
@@ -396,65 +379,45 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 	a.slideWindow(&st)
 
 	// Observe this quantum: group the batch's (keyword, user) pairs by
-	// keyword into the columnar ring entry — in expiry order, with no
-	// per-keyword map. Keys are sorted with the specialised ordered
-	// sort (duplicates included), then each user is placed into its
-	// key's slot range by binary search; users ascend across the batch,
-	// so every group comes out user-ascending.
-	keysAll := a.keyScratch[:0]
-	for _, uk := range batch {
-		keysAll = append(keysAll, uk.Keywords...)
-	}
-	a.keyScratch = keysAll
-	slices.Sort(keysAll)
-	distinct := 0
-	for i := 0; i < len(keysAll); {
-		j := i + 1
-		for j < len(keysAll) && keysAll[j] == keysAll[i] {
-			j++
-		}
-		distinct++
-		i = j
-	}
-	obs := quantumObs{
-		keys:  make([]dygraph.NodeID, 0, distinct),
-		off:   make([]int32, 1, distinct+1),
-		users: make([]uint64, len(keysAll)),
-	}
-	for i := 0; i < len(keysAll); {
-		j := i + 1
-		for j < len(keysAll) && keysAll[j] == keysAll[i] {
-			j++
-		}
-		obs.keys = append(obs.keys, keysAll[i])
-		obs.off = append(obs.off, int32(j))
-		i = j
-	}
-	cur := a.curScratch[:0]
-	cur = append(cur, obs.off[:len(obs.keys)]...)
-	a.curScratch = cur
+	// keyword into the columnar ring entry, in expiry order. A key's slot
+	// first counts its users (collecting the distinct keys), then — once
+	// the distinct keys are sorted and laid out — serves as its write
+	// cursor. Users ascend across the batch, so every group comes out
+	// user-ascending.
+	keys, total := a.keyScratch[:0], 0
 	for _, uk := range batch {
 		for _, k := range uk.Keywords {
-			ki, _ := slices.BinarySearch(obs.keys, k)
-			obs.users[cur[ki]] = uk.User
-			cur[ki]++
+			a.grow(k)
+			if a.slot[k] == 0 {
+				keys = append(keys, k)
+			}
+			a.slot[k]++
+		}
+		total += len(uk.Keywords)
+	}
+	a.keyScratch = keys
+	slices.Sort(keys)
+	obs := quantumObs{
+		keys:  slices.Clone(keys),
+		off:   make([]int32, len(keys)+1),
+		users: make([]uint64, total),
+	}
+	for i, k := range keys {
+		obs.off[i+1] = obs.off[i] + a.slot[k]
+		a.slot[k] = obs.off[i]
+	}
+	for _, uk := range batch {
+		for _, k := range uk.Keywords {
+			obs.users[a.slot[k]] = uk.User
+			a.slot[k]++
 		}
 	}
-	for ki, k := range obs.keys {
-		users := obs.usersOf(ki)
-		set, ok := a.idsets[k]
-		if !ok {
-			set = &idSet{counts: make(map[uint64]int, len(users))}
-			a.idsets[k] = set
-		}
+	for i, k := range obs.keys {
+		a.slot[k] = 0
 		// A keyword whose distinct-user set grew is support-dirty: its
 		// node weight in the ranking function changed.
-		for _, u := range users {
-			if set.counts[u] == 0 {
-				a.dirty.Mark(k)
-				set.userAdded(u)
-			}
-			set.counts[u]++
+		if a.sets[k].observe(obs.usersOf(i)) {
+			a.dirty.Mark(k)
 		}
 	}
 	a.ring = append(a.ring, obs)
@@ -480,6 +443,7 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 	for _, k := range set1 {
 		if !a.present[k] {
 			a.present[k] = true
+			a.nodes++
 			a.eng.AddNode(k)
 			st.NodesAdded++
 		}
@@ -494,21 +458,23 @@ func (a *AKG) ProcessQuantum(batch []ckg.UserKeywords) QuantumStats {
 	a.connectBursty(set1, &st)
 
 	// Isolated, non-bursty keywords leave the AKG (they are in no
-	// cluster by construction).
-	clear(a.high)
-	for _, k := range set1 {
-		a.high[k] = true
-	}
-	a.refresh = append(append(a.refresh[:0], set1...), set2...)
-	for _, k := range a.refresh {
-		if a.present[k] && !a.high[k] && a.eng.Graph().Degree(k) == 0 {
-			a.eng.RemoveNode(k)
-			delete(a.present, k)
-			st.NodesRemoved++
+	// cluster by construction). Set 2 is exactly the observed
+	// non-bursty members.
+	for _, k := range set2 {
+		if a.present[k] && a.eng.Graph().Degree(k) == 0 {
+			a.removeNode(k, &st)
 		}
 	}
 	st.DirtyNodes = a.dirty.Len()
 	return st
+}
+
+// removeNode takes keyword k out of the AKG.
+func (a *AKG) removeNode(k dygraph.NodeID, st *QuantumStats) {
+	a.eng.RemoveNode(k)
+	a.present[k] = false
+	a.nodes--
+	st.NodesRemoved++
 }
 
 // slideWindow expires the oldest quantum once the ring is full and removes
@@ -524,30 +490,16 @@ func (a *AKG) slideWindow(st *QuantumStats) {
 	// removals reach the engine, where split identities must be
 	// reproducible across runs.
 	for ki, k := range oldest.keys {
-		set, ok := a.idsets[k]
-		if !ok {
-			continue
-		}
-		shrank := false
-		for _, u := range oldest.usersOf(ki) {
-			set.counts[u]--
-			if set.counts[u] <= 0 {
-				delete(set.counts, u)
-				set.userRemoved(u)
-				shrank = true
-			}
-		}
-		if shrank {
+		set := &a.sets[k]
+		if set.expire(oldest.usersOf(ki)) {
 			// Support shrank without any engine mutation; clusters
 			// containing k must still be re-ranked.
 			a.dirty.Mark(k)
 		}
-		if set.size() == 0 {
-			delete(a.idsets, k)
+		if len(set.users) == 0 {
+			*set = idSet{} // release the columns and sketch
 			if a.present[k] {
-				a.eng.RemoveNode(k)
-				delete(a.present, k)
-				st.NodesRemoved++
+				a.removeNode(k, st)
 			}
 		}
 	}
@@ -556,22 +508,30 @@ func (a *AKG) slideWindow(st *QuantumStats) {
 // refreshEdges re-evaluates the EC of every edge incident to the given
 // keywords (each edge once), removing edges under threshold and updating
 // surviving weights — Section 3.1's lazy update principle.
+//
+// Each processed key is stamped with a fresh position; edge (k,m) was
+// already evaluated exactly when m is an earlier key of this call,
+// i.e. when m's stamp is newer than the call's base.
 func (a *AKG) refreshEdges(keys []dygraph.NodeID, st *QuantumStats) {
-	clear(a.visited)
+	if a.stamp > math.MaxUint32-uint32(len(keys)) {
+		clear(a.visit)
+		a.stamp = 0
+	}
+	base := a.stamp
 	drop, keep, weights := a.drop[:0], a.keep[:0], a.weights[:0]
 	for _, k := range keys {
 		if !a.present[k] {
 			continue
 		}
+		a.stamp++
+		a.visit[k] = a.stamp
 		// Sorted neighbor iteration: removal order reaches the engine,
 		// where split identities must be reproducible across runs.
 		a.nbrs = a.eng.Graph().AppendNeighbors(a.nbrs[:0], k)
 		for _, m := range a.nbrs {
-			e := dygraph.NewEdge(k, m)
-			if _, ok := a.visited[e]; ok {
+			if a.visit[m] > base {
 				continue
 			}
-			a.visited[e] = struct{}{}
 			j := a.correlation(k, m)
 			if j < a.cfg.Beta {
 				drop = append(drop, edgeRef{k, m})
@@ -611,11 +571,11 @@ func (a *AKG) connectBursty(set1 []dygraph.NodeID, st *QuantumStats) {
 			var w float64
 			switch {
 			case a.cfg.MinHashOnly:
-				if !minhash.SharesValue(a.sketches[k1], a.sketches[k2]) {
+				if !minhash.SharesValue(a.sets[k1].sketch, a.sets[k2].sketch) {
 					continue
 				}
 				st.PairsPassed++
-				w = minhash.EstimateJaccard(a.sketches[k1], a.sketches[k2])
+				w = minhash.EstimateJaccard(a.sets[k1].sketch, a.sets[k2].sketch)
 				if w <= 0 {
 					continue
 				}
@@ -626,7 +586,7 @@ func (a *AKG) connectBursty(set1 []dygraph.NodeID, st *QuantumStats) {
 					continue
 				}
 			default:
-				if !minhash.SharesValue(a.sketches[k1], a.sketches[k2]) {
+				if !minhash.SharesValue(a.sets[k1].sketch, a.sets[k2].sketch) {
 					continue
 				}
 				st.PairsPassed++
@@ -641,66 +601,9 @@ func (a *AKG) connectBursty(set1 []dygraph.NodeID, st *QuantumStats) {
 	}
 }
 
-// sortedUsers returns keyword k's distinct windowed users as a sorted
-// slice. The list is maintained incrementally: membership deltas since
-// the last call are folded in with one linear merge (the deltas
-// themselves are tiny and sorted in O(d log d)), so the per-quantum
-// cost scales with churn instead of set size — re-sorting every hot
-// keyword's full window community each quantum was the hottest code in
-// the system. Returns nil for an unknown keyword; the slice is owned
-// by the id set and valid until its next membership change.
-func (a *AKG) sortedUsers(k dygraph.NodeID) []uint64 {
-	set, ok := a.idsets[k]
-	if !ok {
-		return nil
-	}
-	if set.sorted == nil {
-		// Full (re)build: fresh keyword, restored checkpoint, or delta
-		// tracking degraded under churn.
-		set.sorted = make([]uint64, 0, len(set.counts))
-		for u := range set.counts {
-			set.sorted = append(set.sorted, u)
-		}
-		slices.Sort(set.sorted)
-		set.added = set.added[:0]
-		set.removed = set.removed[:0]
-		return set.sorted
-	}
-	if len(set.added) == 0 && len(set.removed) == 0 {
-		return set.sorted
-	}
-	slices.Sort(set.added)
-	slices.Sort(set.removed)
-	// Merge old ∖ removed with added. The cancellation in
-	// userAdded/userRemoved guarantees added ∩ old = ∅ and
-	// removed ⊆ old, so a plain two-way merge with a skip cursor is
-	// exact.
-	out := a.mergeScratch[:0]
-	old, add, rem := set.sorted, set.added, set.removed
-	i, j, r := 0, 0, 0
-	for i < len(old) || j < len(add) {
-		if i < len(old) && (j == len(add) || old[i] < add[j]) {
-			if r < len(rem) && old[i] == rem[r] {
-				i++
-				r++
-				continue
-			}
-			out = append(out, old[i])
-			i++
-		} else {
-			out = append(out, add[j])
-			j++
-		}
-	}
-	a.mergeScratch = out
-	set.sorted = append(set.sorted[:0], out...)
-	set.added = set.added[:0]
-	set.removed = set.removed[:0]
-	return set.sorted
-}
-
-// jaccardCached is the exact Jaccard of Jaccard, computed as a linear
-// merge of the cached sorted user lists. Contract: for values ≥ β the
+// jaccardCached is the exact Jaccard coefficient of two keywords'
+// windowed user sets, computed as a linear merge of their sorted user
+// columns. Contract: for values ≥ β the
 // result is exact (callers store it as the edge weight); below β
 // callers only compare against β and discard, so a provable sub-β pair
 // may return 0 without the merge — J ≤ min/max, giving an O(1)
@@ -821,45 +724,37 @@ func JaccardSorted(u1, u2 []uint64) float64 {
 // MinHashOnly switch.
 func (a *AKG) correlation(k1, k2 dygraph.NodeID) float64 {
 	if a.cfg.MinHashOnly {
-		a.buildSketches([]dygraph.NodeID{k1, k2})
-		if !minhash.SharesValue(a.sketches[k1], a.sketches[k2]) {
+		pair := [2]dygraph.NodeID{k1, k2}
+		a.buildSketches(pair[:])
+		s1, s2 := a.sets[k1].sketch, a.sets[k2].sketch
+		if !minhash.SharesValue(s1, s2) {
 			return 0
 		}
-		return minhash.EstimateJaccard(a.sketches[k1], a.sketches[k2])
+		return minhash.EstimateJaccard(s1, s2)
 	}
 	return a.jaccardCached(k1, k2)
 }
 
 // buildSketches ensures window sketches for the given keywords are
 // current. Sketches cannot subtract expired users, so a keyword's
-// sketch is rebuilt from its id set — but only when the set's
+// sketch is rebuilt from its user column — but only when the set's
 // membership actually changed since the last build (the sketch is a
 // pure function of the membership set, insertion-order independent),
 // which preserves the paper's per-quantum p-Min-Hash semantics at a
 // fraction of the hashing cost.
 func (a *AKG) buildSketches(keys []dygraph.NodeID) {
 	for _, k := range keys {
-		sk, ok := a.sketches[k]
-		if !ok {
-			sk = minhash.New(a.cfg.P, a.cfg.Seed)
-			a.sketches[k] = sk
-		}
-		set := a.idsets[k]
-		if set == nil {
-			sk.Reset()
+		set := &a.sets[k]
+		switch {
+		case set.sketch == nil:
+			set.sketch = minhash.New(a.cfg.P, a.cfg.Seed)
+		case set.sketchStale:
+			set.sketch.Reset()
+		default:
 			continue
 		}
-		if ok && !set.sketchStale {
-			continue
-		}
-		sk.Reset()
-		// The bottom-p sketch is a pure function of the membership set
-		// (insertion-order independent); feeding it the incrementally
-		// maintained sorted list costs a delta fold that the pairwise
-		// Jaccard path would pay anyway for these same keywords, and
-		// beats iterating the counts map.
-		for _, u := range a.sortedUsers(k) {
-			sk.Add(u)
+		for _, u := range set.users {
+			set.sketch.Add(u)
 		}
 		set.sketchStale = false
 	}

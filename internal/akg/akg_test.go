@@ -2,6 +2,7 @@ package akg
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/ckg"
@@ -29,6 +30,10 @@ func burstBatch(n int, ks ...dygraph.NodeID) []ckg.UserKeywords {
 	}
 	return quantumOf(users)
 }
+
+// testIDs is the keyword ID space the restore tests declare: every
+// keyword the tests use is below it.
+const testIDs = 1000
 
 func newTest(tau int, beta float64, w int) *AKG {
 	return New(Config{Tau: tau, Beta: beta, Window: w}, core.Hooks{})
@@ -105,10 +110,13 @@ func TestJaccardExact(t *testing.T) {
 		users[uint64(u)] = append(users[uint64(u)], 2)
 	}
 	a.ProcessQuantum(quantumOf(users))
-	if got := a.Jaccard(1, 2); got < 0.33 || got > 0.34 {
+	if got := JaccardSorted(a.sortedUsers(1), a.sortedUsers(2)); got < 0.33 || got > 0.34 {
 		t.Fatalf("Jaccard = %v, want 1/3", got)
 	}
-	if a.Jaccard(1, 99) != 0 {
+	if got := a.jaccardCached(1, 2); got < 0.33 || got > 0.34 {
+		t.Fatalf("jaccardCached = %v, want 1/3", got)
+	}
+	if JaccardSorted(a.sortedUsers(1), a.sortedUsers(99)) != 0 {
 		t.Fatalf("Jaccard with unknown keyword should be 0")
 	}
 }
@@ -303,16 +311,24 @@ func TestUserJaccard(t *testing.T) {
 		6: {10, 20},
 	}
 	a.ProcessQuantum(quantumOf(users))
-	// users(10) = {1,2,3,6}, users(20) = {4,5,6}: inter 1, union 6.
-	got := a.UserJaccard([]dygraph.NodeID{10}, []dygraph.NodeID{20})
-	if got < 1.0/6-1e-9 || got > 1.0/6+1e-9 {
-		t.Fatalf("UserJaccard = %v, want 1/6", got)
+	userJaccard := func(ks1, ks2 []dygraph.NodeID) float64 {
+		return JaccardSorted(a.AppendUnionUsers(nil, ks1), a.AppendUnionUsers(nil, ks2))
 	}
-	if a.UserJaccard([]dygraph.NodeID{10}, []dygraph.NodeID{99}) != 0 {
+	// users(10) = {1,2,3,6}, users(20) = {4,5,6}: inter 1, union 6.
+	got := userJaccard([]dygraph.NodeID{10}, []dygraph.NodeID{20})
+	if got < 1.0/6-1e-9 || got > 1.0/6+1e-9 {
+		t.Fatalf("user Jaccard = %v, want 1/6", got)
+	}
+	if userJaccard([]dygraph.NodeID{10}, []dygraph.NodeID{99}) != 0 {
 		t.Fatalf("unknown keyword should give 0")
 	}
-	if a.UserJaccard([]dygraph.NodeID{10}, []dygraph.NodeID{10}) != 1 {
+	if userJaccard([]dygraph.NodeID{10}, []dygraph.NodeID{10}) != 1 {
 		t.Fatalf("self overlap should be 1")
+	}
+	// The union of both communities against one of them: {1..6} vs
+	// {4,5,6} → 3/6.
+	if got := userJaccard([]dygraph.NodeID{10, 20}, []dygraph.NodeID{20}); got != 0.5 {
+		t.Fatalf("union user Jaccard = %v, want 1/2", got)
 	}
 }
 
@@ -322,7 +338,7 @@ func TestAKGStateRoundTrip(t *testing.T) {
 		a.ProcessQuantum(burstBatch(4+q%2, dygraph.NodeID(q%4), dygraph.NodeID(q%4+1), dygraph.NodeID(q%4+2)))
 	}
 	st := a.State()
-	b, err := FromState(st, core.Hooks{})
+	b, err := FromState(st, core.Hooks{}, testIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,13 +370,74 @@ func TestAKGStateValidation(t *testing.T) {
 	bad.Ring = append(bad.Ring, bad.Ring...)
 	bad.Ring = append(bad.Ring, bad.Ring...)
 	bad.Ring = append(bad.Ring, bad.Ring...)
-	if _, err := FromState(bad, core.Hooks{}); err == nil {
+	if _, err := FromState(bad, core.Hooks{}, testIDs); err == nil {
 		t.Fatalf("oversized ring accepted")
 	}
 
 	bad = good
 	bad.Present = append([]dygraph.NodeID{}, 999)
-	if _, err := FromState(bad, core.Hooks{}); err == nil {
+	if _, err := FromState(bad, core.Hooks{}, testIDs); err == nil {
 		t.Fatalf("phantom present keyword accepted")
+	}
+}
+
+// TestFromStateRejectsCorruptIDs: per-keyword state is sized by the
+// largest keyword ID, so a corrupt ID must be rejected before anything
+// is allocated for it, and the sorted-column invariants are checked
+// rather than trusted.
+func TestFromStateRejectsCorruptIDs(t *testing.T) {
+	a := newTest(3, 0.2, 4)
+	for q := 0; q < 3; q++ {
+		a.ProcessQuantum(burstBatch(5, dygraph.NodeID(q+1), dygraph.NodeID(q+2), dygraph.NodeID(q+3)))
+	}
+	const huge = dygraph.NodeID(1<<32 - 1)
+	cases := []struct {
+		name   string
+		want   string // error substring
+		mutate func(*State)
+	}{
+		{"ring keyword outside ID space", "outside", func(s *State) {
+			kws := s.Ring[0].Keywords
+			kws[len(kws)-1] = huge
+		}},
+		{"ring keyword equal to ID space", "outside", func(s *State) {
+			kws := s.Ring[0].Keywords
+			kws[len(kws)-1] = testIDs
+		}},
+		{"present keyword outside ID space", "outside", func(s *State) { s.Present = append(s.Present, huge) }},
+		{"engine node outside ID space", "engine node", func(s *State) {
+			s.Engine.Graph.Nodes = append(s.Engine.Graph.Nodes, huge)
+		}},
+		{"ring keywords not strictly ascending", "keywords not strictly ascending", func(s *State) {
+			kws := s.Ring[1].Keywords
+			kws[0], kws[1] = kws[1], kws[0]
+		}},
+		{"ring keyword repeated", "keywords not strictly ascending", func(s *State) {
+			kws := s.Ring[1].Keywords
+			kws[1] = kws[0]
+		}},
+		{"users not strictly ascending", "users not strictly ascending", func(s *State) {
+			us := s.Ring[2].Users[0]
+			us[0], us[1] = us[1], us[0]
+		}},
+		{"user repeated", "users not strictly ascending", func(s *State) {
+			us := s.Ring[2].Users[0]
+			us[1] = us[0]
+		}},
+		{"keyword without users", "no users", func(s *State) { s.Ring[0].Users[0] = nil }},
+		{"present keyword repeated", "twice", func(s *State) { s.Present = append(s.Present, s.Present[0]) }},
+	}
+	if _, err := FromState(a.State(), core.Hooks{}, testIDs); err != nil {
+		t.Fatalf("unmodified state rejected: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := a.State() // a deep copy each time
+			tc.mutate(&s)
+			_, err := FromState(s, core.Hooks{}, testIDs)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one mentioning %q", err, tc.want)
+			}
+		})
 	}
 }

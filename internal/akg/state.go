@@ -2,7 +2,6 @@ package akg
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dygraph"
@@ -43,16 +42,21 @@ func (a *AKG) State() State {
 		}
 		s.Ring = append(s.Ring, q)
 	}
-	for k := range a.present {
-		s.Present = append(s.Present, k)
+	for k, in := range a.present {
+		if in {
+			s.Present = append(s.Present, dygraph.NodeID(k))
+		}
 	}
-	sort.Slice(s.Present, func(i, j int) bool { return s.Present[i] < s.Present[j] })
 	return s
 }
 
 // FromState reconstructs the layer (id sets rebuilt from the ring) and
-// re-attaches lifecycle hooks to the restored engine.
-func FromState(s State, hooks core.Hooks) (*AKG, error) {
+// re-attaches lifecycle hooks to the restored engine. ids is the size of
+// the keyword ID space (the interner's): per-keyword state is sized by
+// the largest ID, so a ring, Present or engine node ID ≥ ids is rejected
+// rather than allocated for, as are ring keywords or per-keyword users
+// that are not strictly ascending.
+func FromState(s State, hooks core.Hooks, ids int) (*AKG, error) {
 	if len(s.Ring) > s.Cfg.withDefaults().Window {
 		return nil, fmt.Errorf("akg: ring holds %d quanta, window is %d", len(s.Ring), s.Cfg.withDefaults().Window)
 	}
@@ -60,16 +64,35 @@ func FromState(s State, hooks core.Hooks) (*AKG, error) {
 	if err != nil {
 		return nil, err
 	}
+	outside := func(k dygraph.NodeID) bool { return uint64(k) >= uint64(ids) }
+	for _, k := range eng.Graph().Nodes() {
+		if outside(k) {
+			return nil, fmt.Errorf("akg: engine node %d outside the %d-keyword ID space", k, ids)
+		}
+	}
 	a := New(s.Cfg, hooks)
 	a.eng = eng
 	a.quantum = s.Quantum
-	for _, q := range s.Ring {
+	for qi, q := range s.Ring {
 		if len(q.Keywords) != len(q.Users) {
 			return nil, fmt.Errorf("akg: ring entry has %d keywords, %d user lists", len(q.Keywords), len(q.Users))
 		}
 		total := 0
-		for _, users := range q.Users {
-			total += len(users)
+		for i, k := range q.Keywords {
+			switch {
+			case outside(k):
+				return nil, fmt.Errorf("akg: ring quantum %d keyword %d outside the %d-keyword ID space", qi, k, ids)
+			case i > 0 && k <= q.Keywords[i-1]:
+				return nil, fmt.Errorf("akg: ring quantum %d keywords not strictly ascending at %d", qi, k)
+			case len(q.Users[i]) == 0:
+				return nil, fmt.Errorf("akg: ring quantum %d keyword %d has no users", qi, k)
+			}
+			for j := 1; j < len(q.Users[i]); j++ {
+				if q.Users[i][j] <= q.Users[i][j-1] {
+					return nil, fmt.Errorf("akg: ring quantum %d keyword %d users not strictly ascending", qi, k)
+				}
+			}
+			total += len(q.Users[i])
 		}
 		obs := quantumObs{
 			keys:  append([]dygraph.NodeID(nil), q.Keywords...),
@@ -79,26 +102,28 @@ func FromState(s State, hooks core.Hooks) (*AKG, error) {
 		for i, k := range q.Keywords {
 			obs.users = append(obs.users, q.Users[i]...)
 			obs.off = append(obs.off, int32(len(obs.users)))
-			set, ok := a.idsets[k]
-			if !ok {
-				set = &idSet{counts: make(map[uint64]int, len(q.Users[i]))}
-				a.idsets[k] = set
-			}
-			for _, u := range q.Users[i] {
-				set.counts[u]++
-			}
+			a.grow(k)
+			a.sets[k].observe(q.Users[i])
 		}
 		a.ring = append(a.ring, obs)
 	}
 	for _, k := range s.Present {
-		if !a.eng.Graph().HasNode(k) {
+		switch {
+		case outside(k):
+			return nil, fmt.Errorf("akg: present keyword %d outside the %d-keyword ID space", k, ids)
+		case !a.eng.Graph().HasNode(k):
 			return nil, fmt.Errorf("akg: present keyword %d missing from engine graph", k)
 		}
+		a.grow(k)
+		if a.present[k] {
+			return nil, fmt.Errorf("akg: present keyword %d listed twice", k)
+		}
 		a.present[k] = true
+		a.nodes++
 	}
-	if a.eng.Graph().NodeCount() != len(a.present) {
+	if a.eng.Graph().NodeCount() != a.nodes {
 		return nil, fmt.Errorf("akg: engine graph has %d nodes but %d present keywords",
-			a.eng.Graph().NodeCount(), len(a.present))
+			a.eng.Graph().NodeCount(), a.nodes)
 	}
 	return a, nil
 }

@@ -198,7 +198,7 @@ type Detector struct {
 	quant     *stream.Quantizer
 	tquant    *stream.TimeQuantizer // non-nil when cfg.QuantumTime > 0
 	ckg       *ckg.Graph
-	nounSeen  map[dygraph.NodeID]bool
+	nounSeen  []bool // indexed by NodeID
 	events    map[core.ClusterID]*Event
 	finished  []*Event
 	nextEvent uint64
@@ -257,7 +257,6 @@ func New(cfg Config) *Detector {
 	d := &Detector{
 		cfg:        cfg,
 		interner:   textproc.NewInterner(),
-		nounSeen:   make(map[dygraph.NodeID]bool),
 		events:     make(map[core.ClusterID]*Event),
 		mergedInto: make(map[core.ClusterID]core.ClusterID),
 		splitFrom:  make(map[core.ClusterID]core.ClusterID),
@@ -315,7 +314,9 @@ func (d *Detector) Processed() uint64 { return d.processed }
 // NounSeen reports whether the interned keyword was ever observed in a
 // noun-like shape. Exposed so alternative clustering schemes (the offline
 // baselines of Section 7.3) can apply the same reporting filters.
-func (d *Detector) NounSeen(n dygraph.NodeID) bool { return d.nounSeen[n] }
+func (d *Detector) NounSeen(n dygraph.NodeID) bool {
+	return int(n) < len(d.nounSeen) && d.nounSeen[n]
+}
 
 // Ingest feeds one message. When the message completes a quantum the
 // quantum is processed and its result returned; otherwise result is nil.
@@ -533,7 +534,8 @@ func (d *Detector) applyQuantum(prep *prepared) QuantumResult {
 		start := len(kwArena)
 		for _, rf := range pu.refs {
 			id := d.interner.InternBytes(prep.arena[rf.off:rf.end])
-			if rf.nounish && !d.nounSeen[id] {
+			if rf.nounish {
+				d.nounSeen = dygraph.GrowTo(d.nounSeen, id)
 				d.nounSeen[id] = true
 			}
 			kwArena = append(kwArena, id)
@@ -806,7 +808,7 @@ func (d *Detector) reportable(ev *Event, c *core.Cluster) bool {
 	if !d.cfg.DisableNounFilter {
 		hasNoun := false
 		c.ForEachNode(func(n dygraph.NodeID) {
-			if d.nounSeen[n] {
+			if d.NounSeen(n) {
 				hasNoun = true
 			}
 		})

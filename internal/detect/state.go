@@ -133,12 +133,11 @@ func (d *Detector) State() DetectorState {
 		Processed: d.processed,
 		Trimmed:   d.trimmed,
 	}
-	for id, seen := range d.nounSeen { //repro:order-insensitive conditional collect; NounSeen is sorted below
+	for id, seen := range d.nounSeen {
 		if seen {
-			s.NounSeen = append(s.NounSeen, id)
+			s.NounSeen = append(s.NounSeen, dygraph.NodeID(id))
 		}
 	}
-	sort.Slice(s.NounSeen, func(i, j int) bool { return s.NounSeen[i] < s.NounSeen[j] })
 	if d.ckg != nil {
 		cs := d.ckg.State()
 		s.CKG = &cs
@@ -173,7 +172,6 @@ func FromState(s DetectorState) (*Detector, error) {
 	d := &Detector{
 		cfg:        cfg,
 		interner:   textproc.FromWordList(s.Words),
-		nounSeen:   make(map[dygraph.NodeID]bool, len(s.NounSeen)),
 		events:     make(map[core.ClusterID]*Event, len(s.Events)),
 		nextEvent:  s.NextEvent,
 		processed:  s.Processed,
@@ -197,7 +195,9 @@ func FromState(s DetectorState) (*Detector, error) {
 			}
 		},
 	}
-	a, err := akg.FromState(s.AKG, hooks)
+	// Keyword IDs run 1..Size(); every snapshot ID must fall inside.
+	ids := d.interner.Size() + 1
+	a, err := akg.FromState(s.AKG, hooks, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -208,6 +208,10 @@ func FromState(s DetectorState) (*Detector, error) {
 		return nil, fmt.Errorf("detect: checkpoint lacks CKG state but TrackCKG is set")
 	}
 	for _, id := range s.NounSeen {
+		if int64(id) >= int64(ids) {
+			return nil, fmt.Errorf("detect: noun-seen keyword %d outside the %d-keyword ID space", id, ids)
+		}
+		d.nounSeen = dygraph.GrowTo(d.nounSeen, id)
 		d.nounSeen[id] = true
 	}
 	for _, es := range s.Events {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/akg"
+	"repro/internal/dygraph"
 	"repro/internal/stream"
 	"repro/internal/tracegen"
 )
@@ -129,5 +132,70 @@ func TestCheckpointPendingBuffer(t *testing.T) {
 	}
 	if res.Stats.Keywords != 2 {
 		t.Fatalf("restored quantum saw %d keywords, want 2", res.Stats.Keywords)
+	}
+}
+
+// TestFromStateRejectsOutOfRangeIDs: per-keyword state is indexed by
+// keyword ID, so a snapshot ID outside the interner's range (or a ring
+// whose sorted columns are out of order) must fail the restore with an
+// error — never a panic or an allocation sized by the bogus ID.
+func TestFromStateRejectsOutOfRangeIDs(t *testing.T) {
+	msgs, _ := tracegen.Generate(tracegen.TWConfig(6, 4000))
+	d := New(Config{Delta: 100})
+	for _, m := range msgs {
+		d.Ingest(m)
+	}
+	good := d.State()
+	last := dygraph.NodeID(len(good.Words)) // the highest valid ID
+	if len(good.AKG.Present) == 0 || len(good.NounSeen) == 0 {
+		t.Fatal("setup: trace left no AKG nodes or nouns")
+	}
+	// A ring quantum with two keywords, the first with two users.
+	qi := slices.IndexFunc(good.AKG.Ring, func(q akg.QuantumObs) bool {
+		return len(q.Keywords) >= 2 && len(q.Users[0]) >= 2
+	})
+	if qi < 0 {
+		t.Fatal("setup: no ring quantum with two keywords and two users")
+	}
+	const huge = dygraph.NodeID(1<<32 - 1)
+	cases := []struct {
+		name   string
+		mutate func(*DetectorState)
+	}{
+		{"noun-seen ID far outside", func(s *DetectorState) { s.NounSeen = append(s.NounSeen, huge) }},
+		{"noun-seen ID one past the last word", func(s *DetectorState) { s.NounSeen = append(s.NounSeen, last+1) }},
+		{"ring keyword outside", func(s *DetectorState) {
+			kws := s.AKG.Ring[qi].Keywords
+			kws[len(kws)-1] = huge
+		}},
+		{"present keyword outside", func(s *DetectorState) { s.AKG.Present = append(s.AKG.Present, huge) }},
+		{"engine node outside", func(s *DetectorState) {
+			s.AKG.Engine.Graph.Nodes = append(s.AKG.Engine.Graph.Nodes, huge)
+		}},
+		{"ring keywords not strictly ascending", func(s *DetectorState) {
+			kws := s.AKG.Ring[qi].Keywords
+			kws[0], kws[1] = kws[1], kws[0]
+		}},
+		{"users not strictly ascending", func(s *DetectorState) {
+			us := s.AKG.Ring[qi].Users[0]
+			us[0], us[1] = us[1], us[0]
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := d.State()
+			tc.mutate(&s)
+			if _, err := FromState(s); err == nil {
+				t.Fatal("corrupt checkpoint accepted")
+			}
+		})
+	}
+	// The highest valid ID itself is in range.
+	s := d.State()
+	if !slices.Contains(s.NounSeen, last) {
+		s.NounSeen = append(s.NounSeen, last)
+	}
+	if _, err := FromState(s); err != nil {
+		t.Fatalf("noun-seen ID of the last word rejected: %v", err)
 	}
 }
