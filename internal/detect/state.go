@@ -208,7 +208,7 @@ func FromState(s DetectorState) (*Detector, error) {
 		return nil, fmt.Errorf("detect: checkpoint lacks CKG state but TrackCKG is set")
 	}
 	for _, id := range s.NounSeen {
-		if int64(id) >= int64(ids) {
+		if uint64(id) >= uint64(ids) {
 			return nil, fmt.Errorf("detect: noun-seen keyword %d outside the %d-keyword ID space", id, ids)
 		}
 		d.nounSeen = dygraph.GrowTo(d.nounSeen, id)
