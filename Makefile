@@ -47,7 +47,7 @@ bench-ingest:
 bench-query:
 	./scripts/bench_query.sh $(BENCHTIME)
 
-# Archive storage-layer benchmarks (v1 JSONL vs v2 columnar decode,
+# Archive storage-layer benchmarks (256 small vs compacted segments,
 # zone-map block skipping, on-disk footprint); emits BENCH_archive.json.
 bench-archive:
 	./scripts/bench_archive.sh $(BENCHTIME)

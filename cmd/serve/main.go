@@ -32,13 +32,15 @@
 // same -wal-dir recovers (snapshot + tail replay) bit-identically.
 //
 // With -archive-dir set, events evicted by -retain are persisted to a
-// queryable on-disk archive (GET /v1/{tenant}/archive) instead of
-// discarded. With -archive-compact-interval set, a background
-// compactor incrementally merges small archive segments and rewrites
-// cold v1 JSONL segments into the v2 columnar format (zone-map
-// predicate skipping, several-fold smaller on disk); -archive-migrate
-// performs that rewrite once, offline, and exits. See
-// docs/PERSISTENCE.md. GET /v1/{tenant}/query
+// queryable archive of columnar segments (GET /v1/{tenant}/archive,
+// zone-map predicate skipping) instead of discarded. Evictions are
+// held in an in-memory tail that is written to disk before every WAL
+// snapshot and at shutdown, so a restart loses none. Archives written
+// in the legacy JSONL format are converted when a tenant's archive
+// opens. With -archive-compact-interval set, a background compactor
+// merges small archive segments; -archive-migrate opens (and so
+// converts) every tenant archive, compacts it fully once, offline, and
+// exits. See docs/PERSISTENCE.md. GET /v1/{tenant}/query
 // answers one time-travel request across live and archived events with
 // LIMIT pushdown and cursor pagination; see docs/QUERY.md.
 //
@@ -80,11 +82,11 @@ import (
 )
 
 // migrateArchives is the -archive-migrate one-shot mode: open every
-// tenant archive under dir, drive compaction to completion — merging
-// runs of small sealed segments and rewriting every cold v1 JSONL
-// segment into the v2 columnar format — print per-tenant stats, and
-// return the process exit code. Tenants that fail are reported and
-// skipped so one corrupt directory does not block the rest.
+// tenant archive under dir — which converts any legacy JSONL segments
+// into columnar ones — drive compaction to completion, merging runs of
+// small sealed segments, print per-tenant stats, and return the
+// process exit code. Tenants that fail are reported and skipped so one
+// corrupt directory does not block the rest.
 func migrateArchives(dir string, opt archive.Options) int {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -104,7 +106,7 @@ func migrateArchives(dir string, opt archive.Options) int {
 			continue
 		}
 		st, cerr := l.CompactAll()
-		columnar := l.ColumnarSegmentCount()
+		segments := l.SegmentCount()
 		if closeErr := l.Close(); cerr == nil {
 			cerr = closeErr
 		}
@@ -113,8 +115,8 @@ func migrateArchives(dir string, opt archive.Options) int {
 			code = 1
 			continue
 		}
-		fmt.Printf("archive-migrate: tenant=%s compactions=%d segments_in=%d records=%d bytes_reclaimed=%d columnar_segments=%d\n",
-			name, st.Compactions, st.SegmentsIn, st.Records, st.BytesReclaimed, columnar)
+		fmt.Printf("archive-migrate: tenant=%s compactions=%d segments_in=%d records=%d bytes_reclaimed=%d segments=%d\n",
+			name, st.Compactions, st.SegmentsIn, st.Records, st.BytesReclaimed, segments)
 		migrated++
 	}
 	fmt.Printf("archive-migrate: done tenants=%d\n", migrated)
@@ -178,21 +180,21 @@ func main() {
 				"WALs are reopened and degraded tenants' devices write-probed; "+
 				"also the Retry-After hint on degraded-shed responses")
 		archDir = flag.String("archive-dir", "", "evicted-event archive directory (empty discards evicted events)")
-		archSeg = flag.Int("archive-segment-events", 512, "archive segment rotation by record count")
-		archBkt = flag.Int("archive-bucket-quanta", 1024, "archive segment rotation by quantum span")
+		archSeg = flag.Int("archive-segment-events", 512, "archive segment sealing by record count")
+		archBkt = flag.Int("archive-bucket-quanta", 1024, "archive segment sealing by quantum span")
 		archBlk = flag.Int("archive-block-events", 256,
-			"records per block inside v2 columnar archive segments — the unit "+
+			"records per block inside archive segments — the unit "+
 				"of zone-map predicate skipping and of decode work")
 		archBpk = flag.Int("archive-bloom-bits-per-key", 0,
 			"archive keyword Bloom filter sizing in bits per record "+
 				"(0 = legacy fixed 8192-bit filters; 10 gives ~1% false positives)")
 		archComp = flag.Duration("archive-compact-interval", 0,
 			"background archive compaction cadence (0 disables; e.g. 30s). Each "+
-				"tick merges runs of small sealed segments or rewrites one cold v1 "+
-				"JSONL segment per tenant into the v2 columnar format")
+				"tick merges one run of small sealed segments per tenant")
 		archMigrate = flag.Bool("archive-migrate", false,
-			"one-shot mode: compact every tenant archive under -archive-dir "+
-				"fully into the v2 columnar format, print per-tenant stats, and exit")
+			"one-shot mode: open every tenant archive under -archive-dir (converting "+
+				"legacy JSONL segments to the columnar format), compact it fully, "+
+				"print per-tenant stats, and exit")
 
 		pprofAddr = flag.String("pprof-addr", "",
 			"listen address for net/http/pprof diagnostics (empty disables; "+

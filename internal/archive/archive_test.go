@@ -2,10 +2,16 @@ package archive
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 // rec builds a record: one event alive over [born, last] with keywords.
@@ -22,16 +28,104 @@ func rec(seq uint64, born, last int, kws ...string) Record {
 	}
 }
 
-// TestAppendQueryRotation drives three time buckets through rotation and
-// checks range queries, keyword queries, and the skip statistics that
-// prove the sidecar metadata is doing its job.
+// records scans every segment of l in order and returns the records
+// whose [BornQuantum, LastQuantum] span intersects [from, to] (to < 0:
+// unbounded) and, when kw is non-empty, that carry kw — the reference
+// answer the tests compare across formats, restarts and compactions.
+func records(t testing.TB, l *Log, from, to int, kw string) []Record {
+	t.Helper()
+	pred := Pred{From: from, To: to}
+	if kw != "" {
+		pred.Keywords = []string{kw}
+	}
+	out := []Record{}
+	for _, v := range l.Segments() {
+		if _, _, err := v.ScanPred(pred, func(r *Record) error {
+			if r.LastQuantum < from || (to >= 0 && r.BornQuantum > to) {
+				return nil
+			}
+			if kw != "" && !slices.Contains(r.AllKeywords, kw) && !slices.Contains(r.Keywords, kw) {
+				return nil
+			}
+			out = append(out, *r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// seqs lists the records' ordinals.
+func seqs(recs []Record) []uint64 {
+	out := make([]uint64, len(recs))
+	for i := range recs {
+		out[i] = recs[i].Seq
+	}
+	return out
+}
+
+// writeLegacy writes recs as a legacy v1 JSONL segment ev-<start>.jsonl
+// followed by the raw bytes tail (a torn line, say) — the files an
+// archive written before the columnar-only format holds.
+func writeLegacy(t testing.TB, dir string, start uint64, recs []Record, tail string) {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, r := range recs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(line)
+		buf.WriteByte('\n')
+	}
+	buf.WriteString(tail)
+	if err := vfs.OS.WriteFile(filepath.Join(dir, fmt.Sprintf("ev-%020d.jsonl", start)), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeLegacySidecar writes a v1 sidecar claiming count records from
+// start — stale whenever it disagrees with the data file.
+func writeLegacySidecar(t testing.TB, dir string, start uint64, count int) {
+	t.Helper()
+	raw := fmt.Sprintf(`{"file":%d,"first_seq":%d,"last_seq":%d,"count":%d,"min_quantum":0,"max_quantum":0,"bloom":""}`,
+		start, start, start+uint64(count)-1, count)
+	if err := vfs.OS.WriteFile(filepath.Join(dir, fmt.Sprintf("ev-%020d.meta.json", start)), []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertOnlyColumnar fails unless dir holds nothing but .col segments
+// and their sidecars (plus names containing allow, when non-empty).
+func assertOnlyColumnar(t *testing.T, dir, allow string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if allow != "" && strings.Contains(name, allow) {
+			continue
+		}
+		if !strings.HasSuffix(name, colExt) && !strings.HasSuffix(name, colMetaSuffix) {
+			t.Fatalf("%s left in the archive directory", name)
+		}
+	}
+}
+
+// TestAppendQueryRotation drives three time buckets through rotation
+// and checks what the planner sees: per-segment quantum bounds that
+// let a range query skip, Bloom filters that let a keyword query skip,
+// and records in eviction order through ScanPred.
 func TestAppendQueryRotation(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentEvents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Segments: {1,2} quanta 0..19, {3,4} quanta 100..119, {5} active 200..209.
+	// Segments: {1,2} quanta 0..19, {3,4} quanta 100..119, {5} tail 200..209.
 	for i, r := range []Record{
 		rec(1, 0, 9, "earthquake", "turkey"),
 		rec(2, 10, 19, "flood", "river"),
@@ -49,64 +143,45 @@ func TestAppendQueryRotation(t *testing.T) {
 	if n := l.EventCount(); n != 5 {
 		t.Fatalf("events = %d, want 5", n)
 	}
+	views := l.Segments()
+	if len(views) != 3 || !views[0].Sealed || !views[1].Sealed || views[2].Sealed {
+		t.Fatalf("views = %+v, want two sealed and the tail", views)
+	}
 
-	// Full range, no keyword: everything, in eviction order.
-	all, stats, err := l.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatal(err)
+	// Full range: everything, in eviction order.
+	if got := seqs(records(t, l, 0, -1, "")); !slices.Equal(got, []uint64{1, 2, 3, 4, 5}) {
+		t.Fatalf("full scan = %v", got)
 	}
-	if len(all) != 5 {
-		t.Fatalf("full query = %d records", len(all))
-	}
-	for i, r := range all {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("order broken: %v", all)
+
+	// The middle bucket's bounds let a [100,119] query skip the others.
+	var hit []int
+	for i, v := range views {
+		if v.MaxQuantum >= 100 && v.MinQuantum <= 119 {
+			hit = append(hit, i)
 		}
 	}
-	if stats.Scanned != 3 || stats.Segments != 3 {
-		t.Fatalf("full query stats = %+v", stats)
+	if !slices.Equal(hit, []int{1}) {
+		t.Fatalf("views overlapping [100,119] = %v, want just the middle one", hit)
+	}
+	if got := seqs(records(t, l, 100, 119, "")); !slices.Equal(got, []uint64{3, 4}) {
+		t.Fatalf("mid range = %v", got)
 	}
 
-	// Range query hitting only the middle bucket skips the other two.
-	mid, stats, err := l.Query(100, 119, "", 0)
-	if err != nil {
-		t.Fatal(err)
+	// Keyword in one sealed segment: the other filters refute it, the
+	// tail's included.
+	for i, v := range views {
+		if v.MayContain("storm") != (i == 1) {
+			t.Fatalf("view %d MayContain(storm) = %v", i, v.MayContain("storm"))
+		}
+		if v.MayContain("nosuchkeyword") {
+			t.Fatalf("view %d admits an absent keyword", i)
+		}
 	}
-	if len(mid) != 2 || mid[0].Seq != 3 || mid[1].Seq != 4 {
-		t.Fatalf("mid query = %v", mid)
+	if !views[2].MayContain("wildfire") {
+		t.Fatal("tail filter misses an appended keyword")
 	}
-	if stats.SkippedByTime != 2 || stats.Scanned != 1 {
-		t.Fatalf("mid query stats = %+v, want 2 time-skips", stats)
-	}
-
-	// Keyword present in one sealed segment: Bloom skips the others.
-	storm, stats, err := l.Query(0, -1, "storm", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(storm) != 1 || storm[0].Seq != 3 {
-		t.Fatalf("storm query = %v", storm)
-	}
-	if stats.SkippedByBloom != 2 || stats.Scanned != 1 {
-		t.Fatalf("storm query stats = %+v, want 2 bloom-skips", stats)
-	}
-
-	// Absent keyword: every segment skipped, nothing scanned.
-	none, stats, err := l.Query(0, -1, "nosuchkeyword", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != 0 || stats.Scanned != 0 || stats.SkippedByBloom != 3 {
-		t.Fatalf("absent keyword: records = %v stats = %+v", none, stats)
-	}
-
-	// Limit caps the result set.
-	two, _, err := l.Query(0, -1, "", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(two) != 2 {
-		t.Fatalf("limit query = %d records", len(two))
+	if got := seqs(records(t, l, 0, -1, "storm")); !slices.Equal(got, []uint64{3}) {
+		t.Fatalf("storm = %v", got)
 	}
 }
 
@@ -133,7 +208,8 @@ func TestBucketRotationByQuanta(t *testing.T) {
 
 // TestReopenDedup reopens an archive and verifies replayed (duplicate)
 // ordinals are dropped while fresh ones append — the WAL-replay
-// idempotence contract.
+// idempotence contract — and that a kill loses exactly the tail
+// appended since the last Sync.
 func TestReopenDedup(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentEvents: 2})
@@ -145,7 +221,19 @@ func TestReopenDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// No Close: simulates a kill. The active segment has no sidecar yet.
+	// No Sync, no Close: a kill loses the tail {3}, never the sealed {1,2}.
+	killed, err := Open(dir, Options{SegmentEvents: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if killed.LastSeq() != 2 {
+		t.Fatalf("reopen without Sync: LastSeq = %d, want 2", killed.LastSeq())
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyColumnar(t, dir, "")
+	// Sync then kill: the synced tail comes back as a sealed segment.
 	l2, err := Open(dir, Options{SegmentEvents: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -159,12 +247,8 @@ func TestReopenDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all, _, err := l2.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 4 {
-		t.Fatalf("records after dedup = %d, want 4", len(all))
+	if got := seqs(records(t, l2, 0, -1, "")); !slices.Equal(got, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("records after dedup = %v, want 1..4", got)
 	}
 	// An ordinal gap (records lost for good) is skipped over and
 	// counted, not allowed to wedge all future archiving.
@@ -179,109 +263,78 @@ func TestReopenDedup(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncated leaves a partial JSON line (crash mid-append) in
-// the active segment; reopen must drop it and re-accept that ordinal.
+// TestTornTailTruncated converts a legacy JSONL segment whose last line
+// a crash mid-append left torn: Open drops the torn record, converts
+// the rest, deletes the v1 file, and re-accepts that ordinal.
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
+	writeLegacy(t, dir, 1, []Record{rec(1, 0, 5, "alpha"), rec(2, 6, 9, "beta")}, `{"seq":3,"id":30,"torn`)
 	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec(1, 0, 5, "alpha")); err != nil {
+	if l.LastSeq() != 2 {
+		t.Fatalf("LastSeq = %d, want 2 (torn record dropped)", l.LastSeq())
+	}
+	assertOnlyColumnar(t, dir, "")
+	if err := l.Append(rec(3, 10, 15, "gamma")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec(2, 6, 9, "beta")); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segExt))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("segments = %v", segs)
-	}
-	f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0o644) //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":3,"id":30,"torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	l2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2.LastSeq() != 2 {
-		t.Fatalf("LastSeq = %d, want 2 (torn record dropped)", l2.LastSeq())
-	}
-	if err := l2.Append(rec(3, 10, 15, "gamma")); err != nil {
-		t.Fatal(err)
-	}
-	all, _, err := l2.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := records(t, l, 0, -1, "")
 	if len(all) != 3 || all[2].Keywords[0] != "gamma" {
 		t.Fatalf("records after torn-tail recovery = %v", all)
 	}
+	if l.QuarantinedSegments() != 0 {
+		t.Fatal("a torn tail is not corruption")
+	}
 }
 
-// TestCorruptSealedSegmentQuarantined flips bytes mid-file in a sealed
-// segment: the sidecar knows the true record count, so a query detects
-// the corruption, quarantines the segment (renamed aside, dropped from
-// the sealed list), and keeps serving the surviving history with the
-// degraded flag set — instead of failing every query forever.
+// TestCorruptSealedSegmentQuarantined flips a byte inside a sealed
+// segment's block: the CRC check turns the scan into an error wrapping
+// ErrCorrupt, Quarantine renames the files aside and drops the segment,
+// and the surviving history keeps serving — including after a reopen.
 func TestCorruptSealedSegmentQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentEvents: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(1); i <= 4; i++ { // 3 seal a segment, 1 stays active
+	for i := uint64(1); i <= 4; i++ { // 3 seal a segment, 1 stays in the tail
 		if err := l.Append(rec(i, int(i)*10, int(i)*10+5, "kw")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segExt))
-	if err != nil || len(segs) != 2 {
-		t.Fatalf("segments = %v", segs)
-	}
-	raw, err := os.ReadFile(segs[0])
+	path := l.colPath(1)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Break the structure of the middle record (JSON tolerates stray
-	// bytes inside strings, so corrupt the leading brace).
-	raw[bytes.IndexByte(raw, '\n')+1] = 'X'
-	if err := os.WriteFile(segs[0], raw, 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
+	raw[len(raw)-3] ^= 0x40 // inside the last block's payload
+	if err := vfs.OS.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, stats, err := l.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatalf("query over corrupt sealed segment: %v", err)
+	views := l.Segments()
+	_, _, err = views[0].Scan(func(Record) error { return nil })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("scan over corrupt sealed segment: %v, want ErrCorrupt", err)
 	}
-	if !stats.Degraded || stats.Quarantined != 1 {
-		t.Fatalf("stats = %+v, want degraded with 1 quarantined", stats)
-	}
-	// Only the active segment's record survives.
-	if len(recs) != 1 || recs[0].Seq != 4 {
-		t.Fatalf("degraded results = %+v, want just seq 4", recs)
+	if !views[0].Quarantine() || views[0].Quarantine() {
+		t.Fatal("Quarantine must succeed exactly once")
 	}
 	if got := l.QuarantinedSegments(); got != 1 {
 		t.Fatalf("QuarantinedSegments = %d, want 1", got)
 	}
 	// The damaged files are renamed aside, not deleted.
-	if _, err := os.Stat(segs[0] + quarantineSuffix); err != nil {
+	if _, err := os.Stat(path + quarantineSuffix); err != nil {
 		t.Fatalf("quarantined data file: %v", err)
 	}
-	if _, err := os.Stat(segs[0]); !os.IsNotExist(err) {
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("corrupt data file still at its serving path")
 	}
-	// Later queries serve cleanly — the damage is out of the list.
-	recs, stats, err = l.Query(0, -1, "", 0)
-	if err != nil || stats.Degraded || len(recs) != 1 {
-		t.Fatalf("post-quarantine query = %+v, %+v, %v", recs, stats, err)
+	// Only the tail's record survives, now and after a reopen.
+	if got := seqs(records(t, l, 0, -1, "")); !slices.Equal(got, []uint64{4}) {
+		t.Fatalf("post-quarantine records = %v, want [4]", got)
 	}
-	// And a reopen does not resurrect the quarantined segment.
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +343,8 @@ func TestCorruptSealedSegmentQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	recs, _, err = l2.Query(0, -1, "", 0)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("query after reopen = %+v, %v", recs, err)
+	if got := seqs(records(t, l2, 0, -1, "")); !slices.Equal(got, []uint64{4}) {
+		t.Fatalf("records after reopen = %v, want [4]", got)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// buildBenchDir fills dir with 4096 records in 256 sealed v1 segments
-// of 16 records × 16 quanta each — the same shape the query-engine
+// buildBenchDir fills dir with 4096 records in 256 sealed segments of
+// 16 records × 16 quanta each — the same shape the query-engine
 // benchmarks use, so numbers compare across layers.
 func buildBenchDir(b *testing.B, dir string) {
 	b.Helper()
@@ -75,10 +75,11 @@ func scanAll(b *testing.B, l *Log, pred Pred) (records int, bs BlockStats) {
 	return records, bs
 }
 
-// BenchmarkArchiveScan is the storage-layer half of the columnar
-// story: fullscan-v1 vs fullscan-v2 is the decode-speed and allocation
-// comparison; zonemap-hit-v2 shows predicate pushdown reading only the
-// blocks a narrow time range touches.
+// BenchmarkArchiveScan is the storage-layer half of the compaction
+// story: fullscan-256seg vs fullscan-compacted is the per-segment
+// overhead (open, header check, one small block each) against one
+// compacted segment; zonemap-hit-compacted shows predicate pushdown
+// reading only the blocks a narrow time range touches.
 func BenchmarkArchiveScan(b *testing.B) {
 	cases := []struct {
 		name    string
@@ -86,9 +87,9 @@ func BenchmarkArchiveScan(b *testing.B) {
 		pred    Pred
 		want    int // records the scan must hand out
 	}{
-		{"fullscan-v1", false, Pred{To: -1}, 4096},
-		{"fullscan-v2", true, Pred{To: -1}, 4096},
-		{"zonemap-hit-v2", true, Pred{From: 2048, To: 2079}, 0 /* set below */},
+		{"fullscan-256seg", false, Pred{To: -1}, 4096},
+		{"fullscan-compacted", true, Pred{To: -1}, 4096},
+		{"zonemap-hit-compacted", true, Pred{From: 2048, To: 2079}, 0 /* set below */},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -115,9 +116,9 @@ func BenchmarkArchiveScan(b *testing.B) {
 }
 
 // BenchmarkArchiveFootprint reports the on-disk size of the same 4096
-// events as a v1 JSONL body and as a compacted v2 columnar body
-// (data + sidecars, bytes). The work loop is trivial — the metrics are
-// the result.
+// events as 256 small segments and as one compacted segment (data +
+// sidecars, bytes). The work loop is trivial — the metrics are the
+// result.
 func BenchmarkArchiveFootprint(b *testing.B) {
 	size := func(l *Log) float64 {
 		dir := filepath.Dir(l.colPath(1))
@@ -135,14 +136,14 @@ func BenchmarkArchiveFootprint(b *testing.B) {
 		}
 		return float64(total)
 	}
-	v1 := size(benchLog(b, false))
-	v2 := size(benchLog(b, true))
+	small := size(benchLog(b, false))
+	compacted := size(benchLog(b, true))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = i
 	}
 	b.ReportMetric(0, "ns/op")
-	b.ReportMetric(v1, "v1_bytes")
-	b.ReportMetric(v2, "v2_bytes")
-	b.ReportMetric(v1/v2, "shrink_x")
+	b.ReportMetric(small, "small_bytes")
+	b.ReportMetric(compacted, "compacted_bytes")
+	b.ReportMetric(small/compacted, "shrink_x")
 }

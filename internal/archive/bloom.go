@@ -16,6 +16,10 @@ import (
 const (
 	defaultBloomBits   = 8192
 	defaultBloomHashes = 4
+	// maxBloomHashes caps the hash count: sizing never asks for more,
+	// and a sidecar claiming more is not trusted (every probe costs k
+	// hashes).
+	maxBloomHashes = 16
 )
 
 // blockBloomBitsPerKey / blockBloomHashes size the per-block keyword
@@ -67,10 +71,7 @@ func bloomSizing(bitsPerKey, segmentEvents int) bloomParams {
 	if k < 1 {
 		k = 1
 	}
-	if k > 16 {
-		k = 16
-	}
-	return bloomParams{bits: bits, hashes: k}
+	return bloomParams{bits: bits, hashes: min(k, maxBloomHashes)}
 }
 
 // bloom is a Bloom filter over keyword strings, using double hashing
@@ -145,10 +146,11 @@ func (b bloom) encode() string { return base64.StdEncoding.EncodeToString(b.bits
 
 // decodeBloom rebuilds a filter from its sidecar encoding. k ≤ 0
 // selects the legacy hash count (sidecars written before the filter
-// became configurable carry none).
+// became configurable carry none); an undecodable filter or k above
+// maxBloomHashes yields the empty filter, which admits everything.
 func decodeBloom(s string, k int) bloom {
 	raw, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
+	if err != nil || k > maxBloomHashes {
 		return bloom{}
 	}
 	if k <= 0 {

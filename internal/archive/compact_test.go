@@ -5,39 +5,47 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 // queryJSON snapshots a query's full result set as JSON — the
 // byte-identity oracle the compaction tests compare against.
 func queryJSON(t *testing.T, l *Log, from, to int, kw string) string {
 	t.Helper()
-	recs, _, err := l.Query(from, to, kw, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(recs)
+	raw, err := json.Marshal(records(t, l, from, to, kw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(raw)
 }
 
-// seedArchive fills dir with n records through tiny rotation bounds so
-// the sealed list holds many small v1 segments, then closes the Log.
-func seedArchive(t *testing.T, dir string, n int, opt Options) {
-	t.Helper()
-	l, err := Open(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+// seedRecords is the record set the compaction tests archive.
+func seedRecords(n int) []Record {
+	recs := make([]Record, 0, n)
 	for i := 1; i <= n; i++ {
 		r := rec(uint64(i), i%40, i%40+3, "common", fmt.Sprintf("kw-%d", i%7))
 		if i%5 == 0 {
 			r.Keywords = nil // exercise nil-vs-empty through the rewrite
 			r.AllKeywords = []string{}
 		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// seedArchive fills dir with n records through tiny rotation bounds so
+// the sealed list holds many small segments, then closes the Log.
+func seedArchive(t *testing.T, dir string, n int, opt Options) {
+	t.Helper()
+	l, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range seedRecords(n) {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
@@ -73,12 +81,12 @@ func restoreDir(t *testing.T, dir string, snap map[string][]byte) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
+		if err := vfs.OS.Remove(filepath.Join(dir, e.Name())); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for name, raw := range snap {
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
+		if err := vfs.OS.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +111,7 @@ func dirSize(t *testing.T, dir string) int64 {
 
 func TestCompactionMergesSmallSegments(t *testing.T) {
 	dir := t.TempDir()
-	seedArchive(t, dir, 9, Options{SegmentEvents: 2}) // {1,2}{3,4}{5,6}{7,8} sealed + {9}
+	seedArchive(t, dir, 9, Options{SegmentEvents: 2}) // {1,2}{3,4}{5,6}{7,8}{9}, the last sealed by Close
 	l, err := Open(dir, Options{SegmentEvents: 100, BucketQuanta: 1024, BlockEvents: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -116,17 +124,14 @@ func TestCompactionMergesSmallSegments(t *testing.T) {
 	if err != nil || !worked {
 		t.Fatalf("CompactOnce: worked=%v err=%v", worked, err)
 	}
-	if st.Compactions != 1 || st.SegmentsIn != 4 || st.Records != 8 {
+	if st.Compactions != 1 || st.SegmentsIn != 5 || st.Records != 9 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.BytesReclaimed == 0 {
 		t.Fatal("merge reclaimed no bytes")
 	}
-	if n := l.ColumnarSegmentCount(); n != 1 {
-		t.Fatalf("columnar segments = %d", n)
-	}
-	if n := l.SegmentCount(); n != 2 { // merged v2 + active
-		t.Fatalf("segments = %d, want 2", n)
+	if n := l.SegmentCount(); n != 1 {
+		t.Fatalf("segments = %d, want 1", n)
 	}
 	if got := queryJSON(t, l, 0, -1, ""); got != before {
 		t.Fatalf("full query changed:\n before %s\n after  %s", before, got)
@@ -135,68 +140,71 @@ func TestCompactionMergesSmallSegments(t *testing.T) {
 		t.Fatalf("keyword query changed:\n before %s\n after  %s", beforeKw, got)
 	}
 	c, segs, recs, bytes := l.CompactTotals()
-	if c != 1 || segs != 4 || recs != 8 || bytes == 0 {
+	if c != 1 || segs != 5 || recs != 9 || bytes == 0 {
 		t.Fatalf("totals = %d/%d/%d/%d", c, segs, recs, bytes)
 	}
-	// The singleton v2 segment is never re-picked: compaction converges.
+	// The single merged segment is never re-picked: compaction converges.
 	if _, worked, err := l.CompactOnce(); err != nil || worked {
 		t.Fatalf("second CompactOnce: worked=%v err=%v", worked, err)
 	}
-	// Inputs are gone from disk.
-	if _, err := os.Stat(l.segPath(1)); !os.IsNotExist(err) {
-		t.Fatal("input jsonl segment survived compaction")
+	// Inputs other than the first (whose name the merge took) are gone.
+	for _, seq := range []uint64{3, 5, 7, 9} {
+		if _, err := os.Stat(l.colPath(seq)); !os.IsNotExist(err) {
+			t.Fatalf("input segment %d survived compaction", seq)
+		}
 	}
+	assertOnlyColumnar(t, dir, "")
 }
 
-// TestCompactionRewritesColdSegments covers the format-rewrite path:
-// segments too far apart in time to merge are still rewritten v1→v2
-// one at a time, and CompactAll converges to an all-columnar body.
+// TestCompactionRewritesColdSegments covers the v1→v2 rewrite of cold
+// legacy JSONL segments, which Open now performs (it was the
+// compactor's format-rewrite step): segments too far apart in time to
+// merge are each rewritten to a same-name .col segment — even when a
+// stale v1 sidecar disagrees with its data file — and the directory
+// converges to an all-columnar body that answers like the v1 records.
 func TestCompactionRewritesColdSegments(t *testing.T) {
 	dir := t.TempDir()
+	var all []Record
+	for i := 1; i <= 8; i++ { // buckets 1000 quanta apart: no merge run
+		q := i / 2 * 1000
+		all = append(all, rec(uint64(i), q, q+3, "common", fmt.Sprintf("kw-%d", i)))
+	}
+	for start := 1; start <= 7; start += 2 {
+		writeLegacy(t, dir, uint64(start), all[start-1:start+1], "")
+		writeLegacySidecar(t, dir, uint64(start), 2)
+	}
+	writeLegacySidecar(t, dir, 5, 7) // stale: claims records the file lacks
 	l, err := Open(dir, Options{SegmentEvents: 2, BucketQuanta: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 8; i++ { // buckets 1000 quanta apart: no merge run
-		q := i / 2 * 1000
-		if err := l.Append(rec(uint64(i), q, q+3, "common", fmt.Sprintf("kw-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, err = Open(dir, Options{SegmentEvents: 2, BucketQuanta: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer l.Close()
-	before := queryJSON(t, l, 0, -1, "")
-	beforeMid := queryJSON(t, l, 2000, 2999, "")
-
-	st, err := l.CompactAll()
+	assertOnlyColumnar(t, dir, "")
+	if n := l.SegmentCount(); n != 4 {
+		t.Fatalf("segments = %d, want 4 (one per v1 segment)", n)
+	}
+	want, err := json.Marshal(all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Compactions != 3 || st.SegmentsIn != 3 { // three sealed v1 rewrites, 1:1
-		t.Fatalf("stats = %+v", st)
+	if got := queryJSON(t, l, 0, -1, ""); got != string(want) {
+		t.Fatalf("converted records differ:\n want %s\n have %s", want, got)
 	}
-	if n := l.ColumnarSegmentCount(); n != 3 {
-		t.Fatalf("columnar segments = %d, want 3", n)
-	}
-	if got := queryJSON(t, l, 0, -1, ""); got != before {
-		t.Fatalf("full query changed after rewrite:\n before %s\n after  %s", before, got)
-	}
-	if got := queryJSON(t, l, 2000, 2999, ""); got != beforeMid {
-		t.Fatalf("range query changed after rewrite")
+	if got := seqs(records(t, l, 2000, 2999, "")); !slices.Equal(got, []uint64{4, 5}) {
+		t.Fatalf("range query after rewrite = %v", got)
 	}
 	// Time skipping still works across the rewritten segments.
-	_, qs, err := l.Query(2000, 2999, "", 0)
-	if err != nil {
-		t.Fatal(err)
+	skipped := 0
+	for _, v := range l.Segments() {
+		if v.MaxQuantum < 2000 || v.MinQuantum > 2999 {
+			skipped++
+		}
 	}
-	if qs.SkippedByTime == 0 {
-		t.Fatalf("no time skips after rewrite: %+v", qs)
+	if skipped == 0 {
+		t.Fatal("no segment bounds exclude [2000,2999] after rewrite")
+	}
+	if st, err := l.CompactAll(); err != nil || st.Compactions != 0 {
+		t.Fatalf("cold segments merged: %+v, %v", st, err)
 	}
 }
 
@@ -234,20 +242,20 @@ func TestCompactionCrashRecovery(t *testing.T) {
 	}{
 		{"BeforeRename", func() { // crash mid-write: only a tmp exists
 			restoreDir(t, dir, pre)
-			if err := os.WriteFile(filepath.Join(dir, colName+".tmp"), []byte("torn"), 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
+			if err := vfs.OS.WriteFile(filepath.Join(dir, colName+".tmp"), []byte("torn"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"AfterRenameBeforeSidecar", func() { // col committed, sidecar missing, inputs alive
 			restoreDir(t, dir, pre)
-			if err := os.WriteFile(filepath.Join(dir, colName), post[colName], 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
+			if err := vfs.OS.WriteFile(filepath.Join(dir, colName), post[colName], 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"AfterSidecarBeforeDeletes", func() { // everything written, inputs alive
 			restoreDir(t, dir, pre)
 			for _, name := range []string{colName, sideName} {
-				if err := os.WriteFile(filepath.Join(dir, name), post[name], 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
+				if err := vfs.OS.WriteFile(filepath.Join(dir, name), post[name], 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -255,11 +263,11 @@ func TestCompactionCrashRecovery(t *testing.T) {
 		{"MidDeletes", func() { // data files of inputs gone, their sidecars orphaned
 			restoreDir(t, dir, post)
 			for name, raw := range pre {
-				if strings.HasSuffix(name, metaExt) && pre[strings.TrimSuffix(name, metaExt)+segExt] != nil {
+				if strings.HasSuffix(name, colMetaSuffix) {
 					if name == sideName {
 						continue
 					}
-					if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
+					if err := vfs.OS.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -293,7 +301,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 				if strings.HasSuffix(e.Name(), ".tmp") {
 					t.Fatalf("tmp file %s survived recovery", e.Name())
 				}
-				if e.Name() == "ev-00000000000000000001.jsonl" && w.name != "BeforeRename" {
+				if e.Name() == "ev-00000000000000000003.col" && w.name != "BeforeRename" {
 					t.Fatal("superseded input segment survived recovery")
 				}
 			}
@@ -325,7 +333,7 @@ func TestCompactionCrashStaleSidecarReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.File = 1
-	if err := l.writeMeta(&m, 1); err != nil {
+	if err := l.writeMeta(&m); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -340,7 +348,7 @@ func TestCompactionCrashStaleSidecarReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...and the crash leaves the 4-record sidecar in place.
-	if err := os.WriteFile(l.colMetaPath(1), staleSidecar, 0o644); err != nil { //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
+	if err := vfs.OS.WriteFile(l.colMetaPath(1), staleSidecar, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -349,10 +357,7 @@ func TestCompactionCrashStaleSidecarReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	recs, _, err := l2.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := records(t, l2, 0, -1, "")
 	if len(recs) != 6 {
 		t.Fatalf("recovered %d records, want 6 (stale sidecar trusted?)", len(recs))
 	}
@@ -416,12 +421,16 @@ func TestCompactionScanFallback(t *testing.T) {
 }
 
 // TestCompactionFootprint pins the v2 format's size win: the same event
-// set is ≥ 5× smaller as a compacted columnar body than as the v1
-// JSONL segments (data + sidecars) it replaced.
+// set is ≥ 5× smaller as a compacted columnar body than as the legacy
+// v1 JSONL segments (data + sidecars) Open converts it from.
 func TestCompactionFootprint(t *testing.T) {
 	dir := t.TempDir()
-	n := 4096 // multiple of SegmentEvents: everything seals, nothing stays active
-	seedArchive(t, dir, n, Options{SegmentEvents: 16, BucketQuanta: 1024})
+	n := 4096
+	all := seedRecords(n)
+	for start := 0; start < n; start += 16 {
+		writeLegacy(t, dir, uint64(start+1), all[start:start+16], "")
+		writeLegacySidecar(t, dir, uint64(start+1), 16)
+	}
 	v1Bytes := dirSize(t, dir)
 
 	l, err := Open(dir, Options{SegmentEvents: n, BucketQuanta: 1 << 20})
@@ -433,8 +442,8 @@ func TestCompactionFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2Bytes := dirSize(t, dir)
-	if l.EventCount() != n {
-		t.Fatalf("events = %d, want %d", l.EventCount(), n)
+	if l.EventCount() != n || l.SegmentCount() != 1 {
+		t.Fatalf("events = %d in %d segments, want %d in 1", l.EventCount(), l.SegmentCount(), n)
 	}
 	if v2Bytes*5 > v1Bytes {
 		t.Fatalf("footprint: v1 %d B → v2 %d B (%.1f×), want ≥ 5×",
@@ -446,9 +455,8 @@ func TestCompactionFootprint(t *testing.T) {
 // granularity on every zone-map dimension.
 func TestCompactionBlockSkipping(t *testing.T) {
 	dir := t.TempDir()
-	// SegmentEvents 16: the 16th append rotates, so the whole batch is a
-	// sealed v1 segment the compactor can rewrite (no reopen — that would
-	// resume the only JSONL segment as active again).
+	// SegmentEvents 16: the 16th append seals the whole batch into one
+	// segment of four blocks.
 	l, err := Open(dir, Options{SegmentEvents: 16, BucketQuanta: 1 << 20, BlockEvents: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -464,11 +472,8 @@ func TestCompactionBlockSkipping(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, worked, err := l.CompactOnce(); err != nil || !worked {
-		t.Fatalf("CompactOnce: worked=%v err=%v", worked, err)
-	}
 	views := l.Segments()
-	if len(views) != 1 || views[0].Format != 2 || views[0].Blocks() != 4 {
+	if len(views) != 1 || !views[0].Sealed || views[0].Blocks() != 4 {
 		t.Fatalf("views = %+v", views)
 	}
 	v := &views[0]
@@ -501,37 +506,70 @@ func TestCompactionBlockSkipping(t *testing.T) {
 	}
 }
 
-// TestCompactionMixedFormatReopen: a directory holding v1 and v2
-// segments side by side answers identically before and after a restart.
+// TestCompactionMixedFormatReopen opens the mixed-format directory an
+// interrupted legacy compaction leaves: a merged .col segment that
+// covers two v1 segments it crashed before deleting (one of them a
+// same-range rewrite), untouched v1 segments, a v1 tail with a torn
+// line, and a stale v1 sidecar. Open must convert and deduplicate it to
+// exactly-once records in .col segments only, and answer identically
+// after a restart.
 func TestCompactionMixedFormatReopen(t *testing.T) {
 	dir := t.TempDir()
-	seedArchive(t, dir, 13, Options{SegmentEvents: 2})
+	all := seedRecords(13)
 	opt := Options{SegmentEvents: 4, BucketQuanta: 1024, BlockEvents: 4}
 	l, err := Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One merge only: sealed list is now v2, v1, v1... mixed.
-	if _, worked, err := l.CompactOnce(); err != nil || !worked {
-		t.Fatalf("CompactOnce: worked=%v err=%v", worked, err)
-	}
-	if l.ColumnarSegmentCount() == 0 || l.ColumnarSegmentCount() == len(l.Segments()) {
-		t.Fatalf("directory not mixed-format: %d columnar of %d", l.ColumnarSegmentCount(), len(l.Segments()))
-	}
-	want := queryJSON(t, l, 0, -1, "")
-	wantKw := queryJSON(t, l, 0, -1, "kw-4")
-	if err := l.Close(); err != nil {
+	if _, err := l.writeSegment(1, all[0:4]); err != nil { // merge of {1,2}{3,4}
 		t.Fatal(err)
 	}
-	l, err = Open(dir, opt)
+	if _, err := l.writeSegment(5, all[4:6]); err != nil { // same-range rewrite of {5,6}
+		t.Fatal(err)
+	}
+	writeLegacy(t, dir, 1, all[0:2], "")
+	writeLegacy(t, dir, 3, all[2:4], "")
+	writeLegacy(t, dir, 5, all[4:6], "")
+	writeLegacy(t, dir, 7, all[6:8], "")
+	writeLegacy(t, dir, 9, all[8:10], "")
+	writeLegacy(t, dir, 11, all[10:13], `{"seq":14,"torn`)
+	for _, start := range []uint64{1, 3, 5, 7, 9} {
+		writeLegacySidecar(t, dir, start, 2)
+	}
+	writeLegacySidecar(t, dir, 11, 9) // stale
+
+	want, err := json.Marshal(all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	if got := queryJSON(t, l, 0, -1, ""); got != want {
-		t.Fatalf("mixed-format reopen differs:\n want %s\n have %s", want, got)
+	var wantKw []Record
+	for _, r := range all {
+		if slices.Contains(r.AllKeywords, "kw-4") {
+			wantKw = append(wantKw, r)
+		}
 	}
-	if got := queryJSON(t, l, 0, -1, "kw-4"); got != wantKw {
-		t.Fatalf("mixed-format keyword reopen differs")
+	wantKwJSON, err := json.Marshal(wantKw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		l, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertOnlyColumnar(t, dir, "")
+		if l.LastSeq() != 13 || l.EventCount() != 13 || l.QuarantinedSegments() != 0 {
+			t.Fatalf("pass %d: lastSeq %d events %d quarantined %d, want 13/13/0",
+				pass, l.LastSeq(), l.EventCount(), l.QuarantinedSegments())
+		}
+		if got := queryJSON(t, l, 0, -1, ""); got != string(want) {
+			t.Fatalf("pass %d: records differ:\n want %s\n have %s", pass, want, got)
+		}
+		if got := queryJSON(t, l, 0, -1, "kw-4"); got != string(wantKwJSON) {
+			t.Fatalf("pass %d: keyword records differ", pass)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

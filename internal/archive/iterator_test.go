@@ -1,8 +1,7 @@
 package archive
 
 import (
-	"os"
-	"path/filepath"
+	"errors"
 	"testing"
 )
 
@@ -11,58 +10,52 @@ func iterRec(seq uint64, born, last int, kws ...string) Record {
 		Keywords: kws, BornQuantum: born, LastQuantum: last}
 }
 
-// TestQueryTruncatedOnLimitStop pins the stats contract: a limit-stopped
-// scan marks its stats partial instead of presenting skip counters that
-// silently exclude never-visited segments.
+// TestQueryTruncatedOnLimitStop pins the limit-stop contract of
+// ScanPred, which the query engine's LIMIT pushdown relies on: a scan
+// whose callback returns ErrStop reports stopped and counts only the
+// records it handed out, on a multi-block sealed segment and on the
+// tail alike, while a scan that reaches the end is never stopped —
+// even when its last record is exactly the one that fills the limit.
 func TestQueryTruncatedOnLimitStop(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{SegmentEvents: 1})
+	l, err := Open(t.TempDir(), Options{SegmentEvents: 6, BlockEvents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	for i := 1; i <= 6; i++ {
+	for i := 1; i <= 9; i++ { // 1..6 seal (3 blocks), 7..9 stay in the tail
 		if err := l.Append(iterRec(uint64(i), i, i, "kw")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	recs, stats, err := l.Query(0, -1, "", 2)
-	if err != nil {
-		t.Fatal(err)
+	views := l.Segments()
+	if len(views) != 2 || views[0].Blocks() != 3 || views[1].Sealed {
+		t.Fatalf("views = %+v, want a 3-block sealed segment and the tail", views)
 	}
-	if len(recs) != 2 || !stats.Truncated {
-		t.Fatalf("limit-stopped query: %d recs, stats %+v — want 2 recs, Truncated", len(recs), stats)
-	}
-	recs, stats, err = l.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 6 || stats.Truncated {
-		t.Fatalf("full query: %d recs, stats %+v — want 6 recs, not Truncated", len(recs), stats)
-	}
-	// Exactly-at-limit is complete, not truncated.
-	if _, stats, err = l.Query(0, -1, "", 6); err != nil || stats.Truncated {
-		t.Fatalf("exact-limit query: stats %+v err %v — want not Truncated", stats, err)
-	}
-}
-
-// TestQueryNegativeLimitRejected: a negative limit used to be silently
-// treated as unlimited; now it is a caller error.
-func TestQueryNegativeLimitRejected(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if _, _, err := l.Query(0, -1, "", -1); err == nil {
-		t.Fatal("negative limit accepted")
+	for _, v := range views {
+		for _, limit := range []int{1, 2, v.Count} {
+			n := 0
+			bs, stopped, err := v.ScanPred(matchAll(), func(*Record) error {
+				if n == limit {
+					return ErrStop
+				}
+				n++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != limit || stopped != (limit < v.Count) || bs.Records != min(limit+1, v.Count) {
+				t.Fatalf("sealed=%v limit %d: took %d, stopped %v, stats %+v", v.Sealed, limit, n, stopped, bs)
+			}
+		}
 	}
 }
 
-// TestSegmentViewPointInTime: a view taken from the active segment must
-// not see records appended after Segments() returned, and a sealed
-// view scans exactly its sidecar count.
+// TestSegmentViewPointInTime: a tail view must not see records appended
+// after Segments() returned — not even when those appends seal the tail
+// into a segment file — and a sealed view scans exactly its count.
 func TestSegmentViewPointInTime(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{SegmentEvents: 100})
+	l, err := Open(t.TempDir(), Options{SegmentEvents: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,64 +67,67 @@ func TestSegmentViewPointInTime(t *testing.T) {
 	}
 	views := l.Segments()
 	if len(views) != 1 || views[0].Sealed || views[0].Count != 3 {
-		t.Fatalf("active view = %+v, want unsealed count 3", views)
+		t.Fatalf("tail view = %+v, want unsealed count 3", views)
 	}
-	// Concurrent-append simulation: two more records land after the view.
-	for i := 4; i <= 5; i++ {
+	// Concurrent-append simulation: more records land after the view;
+	// the fifth seals the tail and the sixth starts a new one.
+	for i := 4; i <= 6; i++ {
 		if err := l.Append(iterRec(uint64(i), i, i, "kw")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seen, stopped, err := views[0].Scan(func(Record) error { return nil })
-	if err != nil {
-		t.Fatal(err)
+	var got []uint64
+	bs, stopped, err := views[0].ScanPred(matchAll(), func(r *Record) error {
+		got = append(got, r.Seq)
+		r.Keywords = nil // callers may scribble on the record: never the tail's
+		return nil
+	})
+	if err != nil || stopped || bs.Records != 3 || len(got) != 3 || got[2] != 3 {
+		t.Fatalf("point-in-time scan saw %v (stats %+v, stopped %v, err %v), want exactly 1..3", got, bs, stopped, err)
 	}
-	if seen != 3 || stopped {
-		t.Fatalf("point-in-time scan saw %d records (stopped=%v), want exactly 3", seen, stopped)
+	now := l.Segments()
+	if len(now) != 2 || !now[0].Sealed || now[0].Count != 5 || now[1].Count != 1 {
+		t.Fatalf("views after seal = %+v, want sealed 1..5 and tail {6}", now)
+	}
+	seen, _, err := now[0].Scan(func(r Record) error {
+		if len(r.Keywords) != 1 {
+			t.Fatalf("record %d lost its keywords through a view", r.Seq)
+		}
+		return nil
+	})
+	if err != nil || seen != 5 {
+		t.Fatalf("sealed view scanned %d records (err %v), want 5", seen, err)
 	}
 }
 
-// TestSealedSegmentOverCountIsCorruption: a sealed data file holding
-// MORE records than its sidecar count is corruption and must surface as
-// an error, not be silently capped at the sidecar count.
+// TestSealedSegmentOverCountIsCorruption: a block that decodes to MORE
+// records than its zone map says is corruption and must surface as an
+// error wrapping ErrCorrupt, not be silently capped at the zone count.
 func TestSealedSegmentOverCountIsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentEvents: 2})
+	l, err := Open(t.TempDir(), Options{SegmentEvents: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 2; i++ {
+	defer l.Close()
+	for i := 1; i <= 3; i++ {
 		if err := l.Append(iterRec(uint64(i), i, i, "kw")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	views := l.Segments()
-	if len(views) != 1 || !views[0].Sealed {
-		t.Fatalf("want one sealed segment, got %+v", views)
+	if len(views) != 1 || !views[0].Sealed || views[0].Blocks() != 1 {
+		t.Fatalf("want one single-block sealed segment, got %+v", views)
 	}
-	// Corrupt: splice an extra valid record line into the sealed file.
-	f, err := os.OpenFile(filepath.Join(dir, "ev-00000000000000000001.jsonl"), //repro:vfs-exempt deliberate out-of-band corruption of on-disk state under test, not storage-layer I/O
-		os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
+	v := views[0]
+	v.zones = append([]blockZone(nil), v.zones...) // never touch the shared zone maps
+	v.zones[0].Count = 2
+	if _, _, err := v.Scan(func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("over-count block scanned with err %v, want ErrCorrupt", err)
 	}
-	if _, err := f.WriteString(`{"seq":3,"id":3,"state":"ended"}` + "\n"); err != nil {
-		t.Fatal(err)
+	// The shared metadata is untouched: a fresh view scans cleanly.
+	if seen, _, err := l.Segments()[0].Scan(func(Record) error { return nil }); err != nil || seen != 3 {
+		t.Fatalf("fresh view: %d records, err %v", seen, err)
 	}
-	f.Close()
-	if _, _, err := views[0].Scan(func(Record) error { return nil }); err == nil {
-		t.Fatal("over-count sealed segment scanned without error")
-	}
-	// Query-level handling: the corrupt segment is quarantined and the
-	// results (now empty — no other segment) are flagged degraded.
-	recs, stats, err := l.Query(0, -1, "", 0)
-	if err != nil {
-		t.Fatalf("Query over over-count sealed segment: %v", err)
-	}
-	if !stats.Degraded || stats.Quarantined != 1 || len(recs) != 0 {
-		t.Fatalf("degraded query = %+v, %+v", recs, stats)
-	}
-	l.Close()
 }
 
 // TestSegmentViewScanStop: ErrStop from the callback ends the scan

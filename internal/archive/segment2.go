@@ -7,11 +7,12 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/vfs"
 )
 
-// A v2 columnar segment file (ev-<seq>.col) is:
+// A segment file (ev-<seq>.col, the v2 columnar format) is:
 //
 //	header: "EVC2" magic, version byte, first/last seq (u64), record
 //	        count (u32), min/max quantum (i64) — 41 bytes, little-endian,
@@ -21,11 +22,12 @@ import (
 //	        payload, payload (see block.go)
 //
 // The zone maps live in the ev-<seq>.col.meta.json sidecar (a segMeta
-// with Format 2 and a Blocks list); a missing or stale sidecar is
-// rebuilt by decoding every block. Files are written tmp+fsync+rename,
-// so a partial .col never becomes visible — a torn write is a swept
-// *.tmp, and any CRC or count mismatch inside a visible file is
-// corruption, reported rather than silently truncated.
+// with a Blocks list); a missing or stale sidecar is rebuilt by
+// decoding every block. Files are written tmp + fsync + rename +
+// directory fsync, so a partial .col never becomes visible — a torn
+// write is a swept *.tmp — and a visible one survives power loss; any
+// CRC or count mismatch inside a visible file is corruption, reported
+// rather than silently truncated.
 const (
 	colExt        = ".col"
 	colMetaSuffix = ".col.meta.json"
@@ -73,10 +75,10 @@ func parseColHeader(b []byte) (colHeader, error) {
 	return h, nil
 }
 
-// writeSegmentV2 writes recs (non-empty, ascending Seq) as a v2 segment
-// at path via temp-file + fsync + rename, and returns its complete
-// metadata (Format 2, zone maps, segment-level Bloom sized by bp). The
-// returned meta's File field is left for the caller.
+// writeSegmentV2 writes recs (non-empty, ascending Seq) as a segment at
+// path via temp-file + fsync + rename + directory fsync, and returns
+// its complete metadata (zone maps, segment-level Bloom sized by bp).
+// The returned meta's File field is left for the caller.
 func writeSegmentV2(fsys vfs.FS, path string, recs []Record, blockEvents int, bp bloomParams) (segMeta, error) {
 	if len(recs) == 0 {
 		return segMeta{}, fmt.Errorf("archive: write v2 segment: no records")
@@ -84,16 +86,9 @@ func writeSegmentV2(fsys vfs.FS, path string, recs []Record, blockEvents int, bp
 	if blockEvents <= 0 {
 		blockEvents = defaultBlockEvents
 	}
-	m := segMeta{Format: 2, BloomK: bp.hashes}
-	m.bf = newBloomSized(bp)
+	var m segMeta
 	for i := range recs {
-		m.observeBounds(&recs[i])
-		for _, kw := range recs[i].Keywords {
-			m.bf.add(kw)
-		}
-		for _, kw := range recs[i].AllKeywords {
-			m.bf.add(kw)
-		}
+		m.observe(&recs[i], bp)
 	}
 
 	tmp := path + ".tmp"
@@ -149,7 +144,23 @@ func writeSegmentV2(fsys vfs.FS, path string, recs []Record, blockEvents int, bp
 		fsys.Remove(tmp) //nolint:errcheck // best effort
 		return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
 	}
+	if err := syncDir(fsys, filepath.Dir(path)); err != nil {
+		return segMeta{}, fmt.Errorf("archive: write v2 segment: %w", err)
+	}
 	return m, nil
+}
+
+// syncDir fsyncs a directory, making the renames in it durable.
+func syncDir(fsys vfs.FS, dir string) error {
+	d, err := fsys.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readFrame reads and CRC-verifies the block frame z points at,

@@ -8,8 +8,8 @@ import (
 	"repro/internal/detect"
 )
 
-// buildBenchArchive fills dir with 4096 records in 256 sealed v1
-// segments, each spanning 16 quanta, with one rare keyword confined to
+// buildBenchArchive fills dir with 4096 records in 256 sealed segments,
+// each spanning 16 quanta, with one rare keyword confined to
 // a handful of segments — enough structure for every planner path
 // (time skip, Bloom skip, limit pushdown) to show up in the numbers.
 func buildBenchArchive(b *testing.B, dir string) {
@@ -35,8 +35,8 @@ func buildBenchArchive(b *testing.B, dir string) {
 	}
 }
 
-// benchArchive opens the 256-segment archive as-is (v1 JSONL body) or
-// compacted into v2 columnar segments of 512 records.
+// benchArchive opens the 256-segment archive as-is or compacted into
+// segments of 512 records.
 func benchArchive(b *testing.B, compact bool) *archive.Log {
 	b.Helper()
 	dir := b.TempDir()
@@ -54,8 +54,8 @@ func benchArchive(b *testing.B, compact bool) *archive.Log {
 		if _, err := l.CompactAll(); err != nil {
 			b.Fatal(err)
 		}
-		if l.ColumnarSegmentCount() == 0 {
-			b.Fatal("bench archive did not compact")
+		if l.SegmentCount() != 4096/512 {
+			b.Fatalf("bench archive compacted to %d segments, want %d", l.SegmentCount(), 4096/512)
 		}
 	}
 	return l
@@ -71,12 +71,12 @@ func benchSnap() *fakeSnap {
 	return newFakeSnap(evs...)
 }
 
-// BenchmarkUnifiedQuery measures the executor over a 256-segment
-// archive plus a 64-event live overlay, in both archive body formats.
-// The headline comparisons: limit10 vs fullscan (LIMIT pushdown must
-// scan strictly fewer segments, reported as segscanned/op), and
-// v1/fullscan vs v2/fullscan (the columnar decode must cut both time
-// and allocations).
+// BenchmarkUnifiedQuery measures the executor over a 4096-event
+// archive plus a 64-event live overlay, with the archive as 256 small
+// segments and compacted into 8. The headline comparisons: limit10 vs
+// fullscan (LIMIT pushdown must scan strictly fewer segments, reported
+// as segscanned/op), and 256seg/fullscan vs compacted/fullscan (the
+// per-segment overhead compaction removes).
 func BenchmarkUnifiedQuery(b *testing.B) {
 	cases := []struct {
 		name string
@@ -87,12 +87,12 @@ func BenchmarkUnifiedQuery(b *testing.B) {
 		{"keyword-rare", Request{To: -1, Keywords: []string{"rare"}, Limit: 10}},
 		{"timerange", Request{From: 4000, To: 4100, Limit: 100}},
 	}
-	for _, format := range []struct {
+	for _, layout := range []struct {
 		name    string
 		compact bool
-	}{{"v1", false}, {"v2", true}} {
-		b.Run(format.name, func(b *testing.B) {
-			arch := benchArchive(b, format.compact)
+	}{{"256seg", false}, {"compacted", true}} {
+		b.Run(layout.name, func(b *testing.B) {
+			arch := benchArchive(b, layout.compact)
 			snap := benchSnap()
 			for _, c := range cases {
 				b.Run(c.name, func(b *testing.B) {

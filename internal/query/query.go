@@ -138,11 +138,11 @@ type Stats struct {
 	// SkippedByRank counts segments pruned because the sidecar's rank
 	// bound proves no record reaches the requested MinRank.
 	SkippedByRank int `json:"skipped_by_rank,omitempty"`
-	// Blocks counts v2 columnar blocks covered by the scanned segments;
+	// Blocks counts columnar blocks covered by the scanned segments;
 	// BlocksScanned the blocks actually decoded. The difference is
 	// itemised by the BlocksSkippedBy* counters — the zone-map pushdown
-	// working below segment granularity. All zero over a v1-only
-	// archive (a JSONL segment has no blocks to skip).
+	// working below segment granularity. The in-memory archive tail has
+	// no blocks: its records are scanned without decoding.
 	Blocks                 int `json:"blocks,omitempty"`
 	BlocksScanned          int `json:"blocks_scanned,omitempty"`
 	BlocksSkippedByTime    int `json:"blocks_skipped_by_time,omitempty"`
@@ -381,11 +381,11 @@ func scanArchive(arch Archive, dedup Snapshot, req Request, from, to int, cur ke
 		}
 		st.SegmentsScanned++
 		// The surviving predicate is pushed below segment granularity:
-		// a v2 scan skips whole blocks on their zone maps. Block
-		// skipping is conservative, so the record-level filter below is
-		// unchanged — it is what makes answers format-independent.
+		// a scan skips whole blocks on their zone maps. Block skipping is
+		// conservative, so the record-level filter below is unchanged —
+		// it is what makes answers independent of segment layout.
 		var colStart time.Time
-		if timed && v.Format == 2 {
+		if timed {
 			colStart = time.Now() //repro:wallclock-exempt columnar-scan latency telemetry; never feeds query results
 		}
 		pred := archive.Pred{From: from, To: to, MinRank: req.MinRank, Keywords: req.Keywords}
@@ -415,15 +415,13 @@ func scanArchive(arch Archive, dedup Snapshot, req Request, from, to int, cur ke
 			p.add(eventOfRecord(rec), k)
 			return nil
 		})
-		if v.Format == 2 {
-			st.Blocks += bs.Blocks
-			st.BlocksScanned += bs.Scanned
-			st.BlocksSkippedByTime += bs.SkippedByTime
-			st.BlocksSkippedByRank += bs.SkippedByRank
-			st.BlocksSkippedByKeyword += bs.SkippedByKeyword
-			if timed {
-				colDur += time.Since(colStart) //repro:wallclock-exempt columnar-scan latency telemetry; never feeds query results
-			}
+		st.Blocks += bs.Blocks
+		st.BlocksScanned += bs.Scanned
+		st.BlocksSkippedByTime += bs.SkippedByTime
+		st.BlocksSkippedByRank += bs.SkippedByRank
+		st.BlocksSkippedByKeyword += bs.SkippedByKeyword
+		if timed {
+			colDur += time.Since(colStart) //repro:wallclock-exempt columnar-scan latency telemetry; never feeds query results
 		}
 		if err != nil {
 			if errors.Is(err, archive.ErrCorrupt) && v.Sealed {

@@ -326,7 +326,11 @@ func TestBloomFalsePositiveYieldsZeroRows(t *testing.T) {
 	if res.Stats.SegmentsScanned != 1 || res.Stats.SkippedByBloom != 0 {
 		t.Fatalf("segment should have been scanned, not skipped: %+v", res.Stats)
 	}
-	if res.Stats.RecordsScanned != 128 || res.Stats.ArchiveHits != 0 {
+	// Inside the segment the block's own keyword filter (sized
+	// independently) may refute the keyword; otherwise every record is
+	// decoded and rejected by the record-level check.
+	refuted := res.Stats.Blocks > 0 && res.Stats.BlocksSkippedByKeyword == res.Stats.Blocks
+	if (res.Stats.RecordsScanned != 128 && !refuted) || res.Stats.ArchiveHits != 0 {
 		t.Fatalf("scan accounting wrong: %+v", res.Stats)
 	}
 }

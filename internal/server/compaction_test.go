@@ -57,12 +57,12 @@ func fetchWalk(t *testing.T, base string) []string {
 	}
 }
 
-// TestArchiveCompactionHTTPIdentity is the tentpole acceptance check at
-// the HTTP layer: a server restarted with the background compactor
+// TestArchiveCompactionHTTPIdentity is the compaction acceptance check
+// at the HTTP layer: a server restarted with the background compactor
 // enabled must keep serving byte-identical /archive and /query pages
-// while (and after) its archive is rewritten from v1 JSONL into the v2
-// columnar format, and the compactor's work must show up on /metrics in
-// both JSON and Prometheus form.
+// while (and after) its many single-event segments are merged, and the
+// compactor's work must show up on /metrics in both JSON and Prometheus
+// form.
 func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 	dir := t.TempDir()
 	pcfg := PoolConfig{
@@ -70,7 +70,7 @@ func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 		RetainEvents:         1,
 		WALDir:               filepath.Join(dir, "wal"),
 		ArchiveDir:           filepath.Join(dir, "archive"),
-		ArchiveSegmentEvents: 1, // every archived event seals a v1 segment
+		ArchiveSegmentEvents: 1, // every archived event seals a segment
 	}
 	pool1, err := NewPool(pcfg)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 
 	// Restart on the same directories with merge-friendly bounds and a
 	// fast background compactor. Queries race live compaction steps
-	// here; the final comparison runs over the fully columnar archive.
+	// here; the final comparison runs over the fully compacted archive.
 	pcfg.ArchiveSegmentEvents = 64
 	pcfg.ArchiveBucketQuanta = 1 << 20
 	pcfg.ArchiveBlockEvents = 4
@@ -143,7 +143,7 @@ func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 	}
 
 	m := tn2.Metrics()
-	if m.ArchiveColumnarSegments == 0 || m.ArchiveCompactions == 0 ||
+	if m.ArchiveCompactions == 0 ||
 		m.ArchiveSegmentsCompacted == 0 || m.ArchiveBytesReclaimed == 0 {
 		t.Fatalf("compaction counters missing from metrics: %+v", m)
 	}
@@ -184,7 +184,7 @@ func TestArchiveCompactionHTTPIdentity(t *testing.T) {
 	prom := string(raw)
 	for _, want := range []string{
 		fmt.Sprintf(`eventdetect_archive_compactions_total{tenant="t"} %d`, m.ArchiveCompactions),
-		`eventdetect_archive_columnar_segments{tenant="t"}`,
+		`eventdetect_archive_segments{tenant="t"}`,
 		`eventdetect_archive_bytes_reclaimed_total{tenant="t"}`,
 		`eventdetect_pool_archive_bytes_reclaimed_total`,
 	} {

@@ -4,15 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/vfs"
 )
 
@@ -406,31 +409,35 @@ func TestSnapshotENOSPCKeepsPrevious(t *testing.T) {
 	}
 }
 
-// TestArchiveFaultsDoNotCrashIngest: archive append and compaction
+// archiveBurstTexts are sequential keyword bursts: each event is born,
+// dies of window expiry, and (with RetainEvents 1) is evicted into the
+// archive while the next burst runs.
+var archiveBurstTexts = []string{
+	"earthquake struck eastern turkey",
+	"flood river rising rapidly",
+	"storm warning coast evacuation",
+	"election debate results tonight",
+	"wildfire spreading canyon homes",
+	"blizzard closes mountain passes",
+}
+
+// TestArchiveFaultsDoNotCrashIngest: archive write and compaction
 // failures are availability events, not correctness ones — they count
-// into archive_errors and ingest keeps flowing.
+// into archive_errors and ingest keeps flowing. ArchiveSegmentEvents 1
+// makes every eviction seal (write) a segment, so each one meets the
+// fault.
 func TestArchiveFaultsDoNotCrashIngest(t *testing.T) {
-	pool, ffs, dir := faultPool(t, func(c *PoolConfig) {
+	pool, ffs, _ := faultPool(t, func(c *PoolConfig) {
 		c.RetainEvents = 1
 		c.ArchiveDir = filepath.Join(filepath.Dir(c.WALDir), "archive")
+		c.ArchiveSegmentEvents = 1
 	})
-	_ = dir
 	tn, err := pool.GetOrCreate("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ffs.Inject(vfs.Rule{Op: vfs.OpWrite, Path: "archive"})
-	// Sequential short bursts: events are born, die of window expiry,
-	// and get evicted into the (sick) archive.
-	texts := []string{
-		"earthquake struck eastern turkey",
-		"flood river rising rapidly",
-		"storm warning coast evacuation",
-		"election debate results tonight",
-		"wildfire spreading canyon homes",
-		"blizzard closes mountain passes",
-	}
-	for b, text := range texts {
+	for b, text := range archiveBurstTexts {
 		for q := 0; q < 8; q++ {
 			if err := tn.Enqueue(quantumOf(100*b, text)); err != nil {
 				t.Fatalf("ingest must keep flowing through archive faults: %v", err)
@@ -438,8 +445,9 @@ func TestArchiveFaultsDoNotCrashIngest(t *testing.T) {
 		}
 	}
 	waitApplied(t, tn)
-	if errs := tn.Metrics().ArchiveErrors; errs == 0 {
-		t.Skip("no evictions reached the archive in this run; nothing injected")
+	m := tn.Metrics()
+	if m.ArchiveEvents == 0 || m.ArchiveErrors == 0 {
+		t.Fatalf("archive events %d, errors %d: the faulty archive was never written", m.ArchiveEvents, m.ArchiveErrors)
 	}
 	if down, _ := tn.Degraded(); down {
 		t.Fatal("archive faults must not degrade ingest")
@@ -448,6 +456,200 @@ func TestArchiveFaultsDoNotCrashIngest(t *testing.T) {
 	// counter, never a crash.
 	if ar := tn.archLog(); ar != nil {
 		ar.CompactOnce() //nolint:errcheck // exercising the failure path
+	}
+}
+
+// dirSyncFaultFS fails File.Sync on one directory — not on the files
+// inside it — while armed: the directory fsync that makes a segment's
+// rename durable. FaultFS rules match by path substring, and a
+// directory's path is a prefix of every file path inside it, so they
+// cannot single it out.
+type dirSyncFaultFS struct {
+	vfs.FS
+	dir   string
+	armed atomic.Bool
+}
+
+func (f *dirSyncFaultFS) Open(name string) (vfs.File, error) {
+	file, err := f.FS.Open(name)
+	if err != nil || name != f.dir {
+		return file, err
+	}
+	return dirSyncFaultFile{File: file, fs: f}, nil
+}
+
+type dirSyncFaultFile struct {
+	vfs.File
+	fs *dirSyncFaultFS
+}
+
+func (d dirSyncFaultFile) Sync() error {
+	if d.fs.armed.Load() {
+		return &fs.PathError{Op: "sync", Path: d.fs.dir, Err: syscall.EIO}
+	}
+	return d.File.Sync()
+}
+
+// copyTree copies every file under src to the same relative path under
+// dst — the on-disk state a kill -9 at this instant would leave.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := vfs.OS.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.OS.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		from, to := filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())
+		if e.IsDir() {
+			copyTree(t, from, to)
+			continue
+		}
+		raw, err := vfs.OS.ReadFile(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vfs.OS.WriteFile(to, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFaultArchiveDurableBeforeSnapshot: a WAL snapshot may only cover
+// evictions the archive has made durable, because replay starts at the
+// snapshot — an archived record lost after it would be lost for good.
+// While the archive cannot write (a failing create) or cannot make a
+// rename durable (a failing directory fsync), evictions keep flowing
+// into its in-memory tail but the WAL takes no snapshot. Recovery from
+// a kill at that point and from a clean shutdown after the fault clears
+// must both hold every eviction ordinal, with no gap.
+func TestFaultArchiveDurableBeforeSnapshot(t *testing.T) {
+	cases := []struct {
+		name string
+		arm  func(c *PoolConfig, ffs *vfs.FaultFS, archDir string) (clear func())
+	}{
+		{"CreateFails", func(_ *PoolConfig, ffs *vfs.FaultFS, archDir string) func() {
+			ffs.Inject(vfs.Rule{Op: vfs.OpCreate, Path: archDir})
+			return ffs.Clear
+		}},
+		{"DirSyncFails", func(c *PoolConfig, _ *vfs.FaultFS, archDir string) func() {
+			dfs := c.FS.(*dirSyncFaultFS)
+			dfs.dir = archDir
+			dfs.armed.Store(true)
+			return func() { dfs.armed.Store(false) }
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var cfg PoolConfig
+			pool, ffs, dir := faultPool(t, func(c *PoolConfig) {
+				c.RetainEvents = 1
+				c.SnapshotEvery = 2
+				c.ArchiveDir = filepath.Join(filepath.Dir(c.WALDir), "archive")
+				if tc.name == "DirSyncFails" {
+					c.FS = &dirSyncFaultFS{FS: c.FS}
+				}
+				cfg = *c
+			})
+			tn, err := pool.GetOrCreate("acme")
+			if err != nil {
+				t.Fatal(err)
+			}
+			clear := tc.arm(&cfg, ffs, filepath.Join(cfg.ArchiveDir, "acme"))
+
+			snapAtFirstEviction, afterEviction := uint64(0), -1
+			for b, text := range archiveBurstTexts {
+				for q := 0; q < 8; q++ {
+					if err := tn.Enqueue(quantumOf(100*b, text)); err != nil {
+						t.Fatal(err)
+					}
+					waitApplied(t, tn)
+					m := tn.Metrics()
+					if afterEviction < 0 && m.ArchiveEvents > 0 {
+						snapAtFirstEviction = m.WALSnapshotSeq
+					}
+					if m.ArchiveEvents > 0 {
+						afterEviction++
+					}
+				}
+			}
+			m := tn.Metrics()
+			if afterEviction < 4*cfg.SnapshotEvery {
+				t.Fatalf("only %d quanta after the first eviction: the snapshot cadence was never crossed", afterEviction)
+			}
+			if m.WALSnapshotSeq != snapAtFirstEviction {
+				t.Fatalf("WAL snapshot advanced %d → %d over evictions the archive never made durable",
+					snapAtFirstEviction, m.WALSnapshotSeq)
+			}
+			if m.ArchiveErrors == 0 {
+				t.Fatal("the failed archive syncs were not counted")
+			}
+			if down, _ := tn.Degraded(); down {
+				t.Fatal("archive faults must not degrade ingest")
+			}
+
+			// A kill -9 now leaves exactly this on disk.
+			crashed := filepath.Join(t.TempDir(), "crashed")
+			copyTree(t, dir, crashed)
+
+			clear()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := pool.Shutdown(ctx); err != nil {
+				t.Fatalf("shutdown after the fault cleared: %v", err)
+			}
+			for _, root := range []string{dir, crashed} {
+				assertArchiveComplete(t, root, cfg)
+			}
+		})
+	}
+}
+
+// assertArchiveComplete recovers the pool whose WAL and archive live
+// under root and checks that tenant acme's archive holds every eviction
+// ordinal the recovered detector has made, once, with no gap.
+func assertArchiveComplete(t *testing.T, root string, cfg PoolConfig) {
+	t.Helper()
+	cfg.FS = nil
+	cfg.WALDir = filepath.Join(root, "wal")
+	cfg.ArchiveDir = filepath.Join(root, "archive")
+	pool, err := NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		pool.Shutdown(ctx) //nolint:errcheck // read-only reopen
+	}()
+	tn, ok := pool.Tenant("acme")
+	if !ok {
+		t.Fatalf("%s: tenant not recovered", root)
+	}
+	tn.mu.Lock()
+	evicted := tn.det.Trimmed()
+	tn.mu.Unlock()
+	var got []uint64
+	for _, v := range tn.archLog().Segments() {
+		if _, _, err := v.Scan(func(r archive.Record) error {
+			got = append(got, r.Seq)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if evicted == 0 || uint64(len(got)) != evicted {
+		t.Fatalf("%s: archive holds %d records for %d evictions", root, len(got), evicted)
+	}
+	for i, seq := range got {
+		if seq != uint64(i+1) {
+			t.Fatalf("%s: archive ordinals %v, want 1..%d", root, got, evicted)
+		}
+	}
+	if gaps := tn.Metrics().ArchiveGaps; gaps != 0 {
+		t.Fatalf("%s: archive_gaps = %d, want 0", root, gaps)
 	}
 }
 

@@ -20,19 +20,18 @@ type TenantMetrics struct {
 	SnapshotAgeQuanta int `json:"snapshot_age_quanta,omitempty"`
 	// WALErrors counts failed snapshot/compaction passes.
 	WALErrors uint64 `json:"wal_errors,omitempty"`
-	// ArchiveSegments / ArchiveEvents size the evicted-event history;
-	// ArchiveErrors counts append failures (events lost to the archive)
-	// and ArchiveGaps ordinal holes skipped over (records lost to a
-	// crash that replay could not regenerate).
+	// ArchiveSegments / ArchiveEvents size the evicted-event history
+	// (the in-memory tail included); ArchiveErrors counts failed archive
+	// writes — seals, pre-snapshot syncs, compaction steps — and
+	// ArchiveGaps ordinal holes skipped over (records lost to a crash
+	// that replay could not regenerate).
 	ArchiveSegments int    `json:"archive_segments,omitempty"`
 	ArchiveEvents   int    `json:"archive_events,omitempty"`
 	ArchiveErrors   uint64 `json:"archive_errors,omitempty"`
 	ArchiveGaps     uint64 `json:"archive_gaps,omitempty"`
-	// ArchiveColumnarSegments counts sealed segments already in the v2
-	// columnar format; the Compact* counters are the background
-	// compactor's lifetime totals for this tenant (committed steps,
-	// input segments consumed, and bytes reclaimed, data + sidecars).
-	ArchiveColumnarSegments  int    `json:"archive_columnar_segments,omitempty"`
+	// The Compact* counters are the background compactor's lifetime
+	// totals for this tenant (committed steps, input segments consumed,
+	// and bytes reclaimed, data + sidecars).
 	ArchiveCompactions       uint64 `json:"archive_compactions,omitempty"`
 	ArchiveSegmentsCompacted uint64 `json:"archive_segments_compacted,omitempty"`
 	ArchiveBytesReclaimed    uint64 `json:"archive_bytes_reclaimed,omitempty"`
@@ -119,7 +118,6 @@ func (t *Tenant) Metrics() TenantMetrics {
 		m.ArchiveEvents = ar.EventCount()
 		m.ArchiveErrors = t.storage.archErrs.Load()
 		m.ArchiveGaps = ar.Gaps()
-		m.ArchiveColumnarSegments = ar.ColumnarSegmentCount()
 		m.ArchiveCompactions, m.ArchiveSegmentsCompacted, _, m.ArchiveBytesReclaimed = ar.CompactTotals()
 		m.QuarantinedSegments = ar.QuarantinedSegments()
 	}

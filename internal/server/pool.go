@@ -104,27 +104,30 @@ type PoolConfig struct {
 	DegradedProbeInterval time.Duration
 
 	// ArchiveDir, when non-empty, routes events evicted by the
-	// RetainEvents policy into a per-tenant on-disk archive (segments
+	// RetainEvents policy into a per-tenant archive (columnar segments
 	// with data-skipping sidecars; see internal/archive) instead of
 	// discarding them, queryable via Tenant.Query and GET /v1/{t}/archive.
+	// Evictions land in an in-memory tail that is made durable before
+	// every WAL snapshot; legacy JSONL segments are converted when a
+	// tenant's archive opens.
 	ArchiveDir string
-	// ArchiveSegmentEvents rotates archive segments by record count
-	// (default 512); ArchiveBucketQuanta by time span (default 1024).
+	// ArchiveSegmentEvents seals the archive tail into a segment by
+	// record count (default 512); ArchiveBucketQuanta by time span
+	// (default 1024).
 	ArchiveSegmentEvents int
 	ArchiveBucketQuanta  int
-	// ArchiveBlockEvents sizes the record blocks inside v2 columnar
+	// ArchiveBlockEvents sizes the record blocks inside archive
 	// segments (default 256) — the unit of zone-map skipping and of
-	// decode work. ArchiveBloomBitsPerKey sizes each sealed segment's
-	// keyword Bloom filter proportionally to its record count (zero
-	// keeps the legacy fixed 8192-bit filter).
+	// decode work. ArchiveBloomBitsPerKey sizes each segment's keyword
+	// Bloom filter proportionally to its record count (zero keeps the
+	// legacy fixed 8192-bit filter).
 	ArchiveBlockEvents     int
 	ArchiveBloomBitsPerKey int
 	// ArchiveCompactInterval, when positive, runs a background
 	// compactor: every interval it performs at most one compaction step
-	// per tenant — merging runs of small adjacent sealed segments or
-	// rewriting a cold v1 JSONL segment into the v2 columnar format.
-	// Zero disables background compaction (the archive stays readable;
-	// cmd/serve -archive-migrate offers a one-shot rewrite instead).
+	// per tenant, merging a run of small adjacent sealed segments. Zero
+	// disables background compaction (the archive stays readable;
+	// cmd/serve -archive-migrate offers a one-shot pass instead).
 	ArchiveCompactInterval time.Duration
 
 	// RateLimit, when positive, caps each tenant's sustained ingest rate
@@ -300,7 +303,7 @@ type walBatch struct {
 type tenantStorage struct {
 	wal      *wal.Log
 	arch     *archive.Log
-	archErrs *atomic.Uint64 // archive append failures (events lost)
+	archErrs *atomic.Uint64 // failed archive writes (seal, sync, compaction)
 	walErrs  *atomic.Uint64 // snapshot/compaction failures
 }
 
@@ -308,8 +311,8 @@ type tenantStorage struct {
 // archive. The detector's cumulative trim counter is the record's
 // eviction ordinal; the archive drops ordinals it already holds, which
 // makes the hook idempotent across WAL replays. Must be registered
-// before any replay so pre-crash evictions the archive lost (torn tail)
-// self-heal.
+// before any replay so pre-crash evictions the archive lost (its
+// unsynced tail) self-heal.
 func (s *tenantStorage) attachEvict(det *detect.Detector) {
 	if s == nil || s.arch == nil {
 		return
@@ -322,8 +325,8 @@ func (s *tenantStorage) attachEvict(det *detect.Detector) {
 	})
 }
 
-// archiveRecord projects an evicted event onto the archive's JSONL
-// record shape, with seq as its eviction ordinal.
+// archiveRecord projects an evicted event onto the archive's record
+// shape, with seq as its eviction ordinal.
 func archiveRecord(seq uint64, ev *detect.Event) archive.Record {
 	all := make([]string, 0, len(ev.AllKeywords))
 	for kw := range ev.AllKeywords {
@@ -682,7 +685,11 @@ func (t *Tenant) apply(batch walBatch) {
 
 // maybeSnapshot snapshots the detector into the WAL once enough quanta
 // have passed since the last snapshot, then compaction (inside
-// wal.Snapshot) drops the covered segments. It runs synchronously on
+// wal.Snapshot) drops the covered segments. The archive tail is synced
+// first: replay starts at the snapshot, so a snapshot covering an
+// eviction the archive could still lose would lose it for good. A
+// failed sync skips the snapshot (the WAL keeps the history, and replay
+// regenerates the tail). It runs synchronously on
 // the worker between batches — that is what makes lastApplied exactly
 // name the state captured, and it deliberately paces ingest to
 // snapshot IO at the cadence point. The state is deep-copied under the
@@ -702,6 +709,12 @@ func (t *Tenant) maybeSnapshot() {
 	}
 	st := t.det.State()
 	t.mu.Unlock()
+	if ar := t.archLog(); ar != nil {
+		if err := ar.Sync(); err != nil {
+			t.storage.archErrs.Add(1)
+			return
+		}
+	}
 	err := wl.Snapshot(t.lastApplied.Load(), func(w io.Writer) error {
 		return detect.EncodeState(&st, w)
 	})
@@ -1213,8 +1226,8 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 }
 
 // compactLoop is the background archive compactor: each tick it takes
-// one compaction step per tenant (merge a run of small sealed segments,
-// or rewrite one cold v1 segment to the v2 columnar format). One step
+// one compaction step per tenant (merge a run of small sealed
+// segments). One step
 // per tick bounds the IO burst a tick can cause; an idle archive makes
 // the step a no-op. Failures count into the tenant's archive error
 // counter and the loop moves on — compaction is an optimization, never
@@ -1547,8 +1560,9 @@ func (p *Pool) BeginShutdown() []*Tenant {
 }
 
 // Shutdown stops ingest on every tenant, drains their queues (bounded by
-// ctx), and — when the WAL is enabled — takes each tenant's final WAL
-// snapshot, so a restart recovers without replaying a tail.
+// ctx), closes each tenant's archive (sealing its tail to disk) and —
+// when the WAL is enabled — takes each tenant's final WAL snapshot, so
+// a restart recovers without replaying a tail.
 // The first error is returned, but every tenant is still processed.
 // Concurrent calls block until the shutdown pass completes (bounded by
 // their own ctx) rather than reporting success while it is in flight.
@@ -1580,21 +1594,33 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 				// exactly the crash case recovery replays correctly.
 				continue
 			}
-			if wl := t.walLog(); wl != nil {
-				t.mu.Lock()
-				err := wl.Snapshot(t.lastApplied.Load(), t.det.Save)
-				t.mu.Unlock()
-				if cerr := wl.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil && first == nil {
-					first = err
-				}
-			}
+			// The archive closes first — sealing its tail to disk — so the
+			// final WAL snapshot never covers an eviction the archive could
+			// still lose; if it cannot, the snapshot is skipped and the
+			// next start replays the tail instead.
+			archived := true
 			if ar := t.archLog(); ar != nil {
 				t.mu.Lock()
 				err := ar.Close()
 				t.mu.Unlock()
+				if err != nil {
+					archived = false
+					t.storage.archErrs.Add(1)
+					if first == nil {
+						first = err
+					}
+				}
+			}
+			if wl := t.walLog(); wl != nil {
+				var err error
+				if archived {
+					t.mu.Lock()
+					err = wl.Snapshot(t.lastApplied.Load(), t.det.Save)
+					t.mu.Unlock()
+				}
+				if cerr := wl.Close(); err == nil {
+					err = cerr
+				}
 				if err != nil && first == nil {
 					first = err
 				}

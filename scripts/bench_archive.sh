@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
 # Runs the archive storage-layer benchmarks and writes the results as
 # JSON to BENCH_archive.json at the repo root. The headline comparisons:
-# fullscan-v1 vs fullscan-v2 (the v2 columnar decode must cut both
-# ns/op and allocs/op on a full scan of the same 4096 records), and
-# BenchmarkArchiveFootprint's shrink_x (v1 JSONL bytes / v2 columnar
-# bytes on disk, data + sidecars). zonemap-hit-v2 shows predicate
-# pushdown reading only the blocks a narrow time range touches.
+# fullscan-256seg vs fullscan-compacted (a full scan of the same 4096
+# records as 256 small segments and as one compacted segment), and
+# BenchmarkArchiveFootprint's shrink_x (small-segment bytes / compacted
+# bytes on disk, data + sidecars). zonemap-hit-compacted shows
+# predicate pushdown reading only the blocks a narrow time range
+# touches.
 # Usage: scripts/bench_archive.sh [benchtime]
 #   benchtime  default 2s
 set -eu
@@ -19,33 +20,6 @@ RAW="$(go test -bench 'ArchiveScan|ArchiveFootprint' -run xxx -benchmem \
 
 printf '%s\n' "$RAW"
 
-printf '%s\n' "$RAW" | awk -v benchtime="$BENCHTIME" '
-BEGIN {
-	n = 0
-	print "{"
-	printf "  \"benchtime\": \"%s\",\n", benchtime
-	print "  \"benchmarks\": ["
-}
-/^goos: /   { goos = $2 }
-/^goarch: / { goarch = $2 }
-/^cpu: /    { sub(/^cpu: /, ""); cpu = $0 }
-/^Benchmark/ {
-	name = $1
-	sub(/-[0-9]+$/, "", name)
-	if (n++) printf ",\n"
-	printf "    {\"name\": \"%s\", \"iterations\": %s", name, $2
-	for (i = 3; i < NF; i += 2) {
-		unit = $(i + 1)
-		gsub(/\//, "_per_", unit)
-		printf ", \"%s\": %s", unit, $i
-	}
-	printf "}"
-}
-END {
-	print ""
-	print "  ],"
-	printf "  \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\"\n", goos, goarch, cpu
-	print "}"
-}' >"$OUT"
+printf '%s\n' "$RAW" | awk -v benchtime="$BENCHTIME" -f scripts/benchjson.awk >"$OUT"
 
 echo "wrote $OUT"

@@ -17,33 +17,6 @@ RAW="$(go test -bench UnifiedQuery -run xxx -benchmem \
 
 printf '%s\n' "$RAW"
 
-printf '%s\n' "$RAW" | awk -v benchtime="$BENCHTIME" '
-BEGIN {
-	n = 0
-	print "{"
-	printf "  \"benchtime\": \"%s\",\n", benchtime
-	print "  \"benchmarks\": ["
-}
-/^goos: /   { goos = $2 }
-/^goarch: / { goarch = $2 }
-/^cpu: /    { sub(/^cpu: /, ""); cpu = $0 }
-/^Benchmark/ {
-	name = $1
-	sub(/-[0-9]+$/, "", name)
-	if (n++) printf ",\n"
-	printf "    {\"name\": \"%s\", \"iterations\": %s", name, $2
-	for (i = 3; i < NF; i += 2) {
-		unit = $(i + 1)
-		gsub(/\//, "_per_", unit)
-		printf ", \"%s\": %s", unit, $i
-	}
-	printf "}"
-}
-END {
-	print ""
-	print "  ],"
-	printf "  \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\"\n", goos, goarch, cpu
-	print "}"
-}' >"$OUT"
+printf '%s\n' "$RAW" | awk -v benchtime="$BENCHTIME" -f scripts/benchjson.awk >"$OUT"
 
 echo "wrote $OUT"
